@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -349,15 +348,7 @@ def cmd_profile(args) -> int:
                 p = Problem(A=A, b=b, gamma=cfg["gamma"])
                 problems.append((p, np.zeros(p.n)))
     solvers = _profile_solvers(cfg)
-    if args.jobs > 1:
-        chunks = np.array_split(np.arange(len(problems)), args.jobs)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(
-                lambda idx: profile_times([problems[i] for i in idx], solvers),
-                [c for c in chunks if c.size]))
-        t = np.vstack(parts)
-    else:
-        t = profile_times(problems, solvers)
+    t = profile_times(problems, solvers)
     taus, pi = performance_profile(t)
     csv_path = os.path.join(out, "profile_curves.csv")
     manifest.outputs = (csv_path,)
@@ -438,7 +429,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--preset", choices=sorted(PRESETS))
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--seed", type=int)
     for key, kind in _KEY_TYPES.items():
         if key in ("preset", "seed"):

@@ -8,7 +8,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..exceptions import DegenerateColumn
+from ..exceptions import DegenerateColumn, RatioptError
 from .rng import make_rng
 
 
@@ -83,7 +83,8 @@ DEFAULT_GAMMA_GRID = tuple(np.logspace(-6, -1, 7))
 def cross_validate_gamma(ds: Dataset, grid, k: int, solve_fn):
     """Grid gamma minimizing mean validation MSE over the k folds.
 
-    solve_fn(A, b, gamma) -> x; solver failures count as +inf fold MSE.
+    solve_fn(A, b, gamma) -> x; a RatioptError from the solver counts as
+    +inf fold MSE, and any other exception propagates.
     Ties (including duplicate grid entries) resolve to the lowest index.
     """
     grid = list(grid)
@@ -101,7 +102,7 @@ def cross_validate_gamma(ds: Dataset, grid, k: int, solve_fn):
                 x = solve_fn(ds.A_train[mask], ds.b_train[mask], gamma)
                 res = ds.A_train[fold] @ x - ds.b_train[fold]
                 fold_mses.append(float(res @ res / fold.size))
-            except Exception:
+            except RatioptError:
                 fold_mses.append(np.inf)
         scores.append(float(np.mean(fold_mses)))
     return grid[int(np.argmin(scores))]

@@ -54,8 +54,8 @@ class Support:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = tuple(map(int, self.indices))
+        if idx != tuple(sorted(set(idx))):
             raise ValueError("support indices must be strictly increasing")
         if idx and idx[0] < 0:
             raise ValueError("support indices must be nonnegative")
@@ -63,7 +63,7 @@ class Support:
 
     @classmethod
     def from_vector(cls, x) -> "Support":
-        return cls(tuple(np.flatnonzero(np.asarray(x))))
+        return cls(tuple(np.flatnonzero(np.asarray(x)).tolist()))
 
     def to_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int)

@@ -4,14 +4,17 @@ prox_l1_over_l2 globally minimizes
 
     ratio(x) + (rho/2) * ||x - q||^2      over the cone,
 
-with ratio(0) = 1.  The minimizer keeps the signs of q on its support,
-the support is a prefix of the |q|-descending order (ties broken by lower
-index), and on a fixed support the stationarity system closes in the two
-scalars a = ||x||_1 and r = ||x||_2.  Eliminating a turns the system into
-a quartic in t = 1/r; we enumerate prefix supports (pruned by cheap
-bounds), solve all quartics at once through batched companion-matrix
-eigenvalues, and polish the winner with a damped two-variable Newton
-iteration.
+with ratio(0) = 1.  The minimizer keeps the signs of q on its support, and
+the support is a prefix of the |q|-descending order p (ties broken by lower
+index).  On prefix k, stationarity makes the magnitudes a rescaled soft
+threshold of the anchor, m proportional to p - tau, where tau = 1/(rho ||x||)
+solves one scalar equation.  Off-support optimality and m_k > 0 confine
+tau to the bracket [p_{k+1}, p_k), so the brackets of different prefixes
+are disjoint, and the equation is concave on each one.  A vectorized pass
+over all breakpoints keeps the few brackets that can hold a root;
+safeguarded Newton solves those, closed forms cover the top entry and the
+block tied with it, and a damped two-variable Newton iteration polishes
+the winner.  No eigenvalue problem is solved.
 """
 
 from __future__ import annotations
@@ -46,28 +49,17 @@ class ProxQuery:
 
 @dataclass(frozen=True)
 class ProxResult:
+    """Minimizer x with its objective value and support.
+
+    candidates_examined counts the points the search evaluated: 1 for
+    x = 0, 1 per closed form (the top entry, and the block tied with it
+    when that has more entries) and 1 per root solved in a bracket.
+    """
+
     x: np.ndarray
     value: float
     support: Support
     candidates_examined: int
-
-
-def _quartic_roots(b3, b2, b1, b0):
-    """Roots of the monic quartics t^4 + b3 t^3 + b2 t^2 + b1 t + b0.
-
-    Coefficient arrays share a common length N; returns an (N, 4) complex
-    array via batched companion-matrix eigenvalues.
-    """
-    n = b3.shape[0]
-    comp = np.zeros((n, 4, 4))
-    comp[:, 0, 0] = -b3
-    comp[:, 0, 1] = -b2
-    comp[:, 0, 2] = -b1
-    comp[:, 0, 3] = -b0
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 3, 2] = 1.0
-    return np.linalg.eigvals(comp)
 
 
 def _polish(a, r, rho, p_slice):
@@ -126,6 +118,58 @@ def _polish(a, r, rho, p_slice):
     return a, r, np.max(np.abs(f)) <= _POLISH_TOL
 
 
+def _bracketed_root(fn, lo, hi, f_lo, f_hi):
+    """Zero of a monotone fn on [lo, hi] to about 4 ulps, given
+    f_lo = fn(lo) and f_hi = fn(hi) of opposite signs (either may be 0).
+
+    fn(t) returns (value, derivative).  Newton starts at the end where fn
+    is negative: for a concave fn its steps then stay on that side of the
+    zero.  A step that leaves the shrinking bracket is replaced by its
+    midpoint.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    neg_lo = f_lo < 0.0
+    t = lo if neg_lo else hi
+    for _ in range(100):
+        f, df = fn(t)
+        if f == 0.0:
+            return t
+        if (f < 0.0) == neg_lo:
+            lo = t
+        else:
+            hi = t
+        step = f / df if df != 0.0 else hi - lo
+        if abs(step) <= 1e-15 * abs(t):
+            return min(max(t - step, lo), hi)
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 * hi:
+            return t
+    return t
+
+
+def _concave_roots(h, dh, lo, hi, h_lo, h_hi):
+    """Zeros of a concave h on [lo, hi], given h_lo = h(lo), h_hi = h(hi).
+
+    h(t) returns (value, slope) and dh(t) returns (slope, curvature).  When
+    both ends are <= 0 the interval is split at the peak of h, so each
+    piece is monotone and holds at most one zero.
+    """
+    if h_lo > 0.0 or h_hi > 0.0:
+        pieces = [(lo, hi, h_lo, h_hi)]
+    else:
+        d_lo, d_hi = h(lo)[1], h(hi)[1]
+        top = (lo if d_lo <= 0.0 else hi if d_hi >= 0.0
+               else _bracketed_root(dh, lo, hi, d_lo, d_hi))
+        h_top = h(top)[0]
+        pieces = [(lo, top, h_lo, h_top), (top, hi, h_top, h_hi)]
+    return [_bracketed_root(h, a, b, f_a, f_b)
+            for a, b, f_a, f_b in pieces
+            if min(f_a, f_b) <= 0.0 <= max(f_a, f_b)]
+
+
 def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
     """Global minimizer of ratio(x) + (rho/2)||x - q||^2 over the cone."""
     q = query.q
@@ -147,81 +191,117 @@ def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
     if kmax == 0:
         return ProxResult(np.zeros(n), zero_value, Support(()), examined)
 
-    pk = p[:kmax]
-    P = np.cumsum(pk)
-    S2 = np.cumsum(pk * pk)
-    K = np.arange(1, kmax + 1, dtype=float)
-    off = np.maximum(qsq - S2, 0.0)
+    # unit scale: magnitudes in (0, 1], a zero appended for the threshold
+    # tau = 0, and the curvature rho*scale^2 that keeps every value
+    scale = p[0]
+    ktie = int(np.count_nonzero(p[:kmax] == scale))
+    p = np.append(p[:kmax] / scale, 0.0)
+    rho_u = rho * scale * scale
+    cut = q - signs * mags          # anchor entries outside the cone
+    sq = p * p
+    # off[k-1]: squared anchor mass outside prefix k
+    off = np.cumsum(sq[::-1])[-2::-1] + float(cut @ cut) / (scale * scale)
 
-    # prune prefixes: value on prefix k is at least 1 + (rho/2)*off_k, and
-    # x = q restricted to the prefix gives a cheap upper bound
-    lower = 1.0 + 0.5 * rho * off
-    upper = P / np.sqrt(S2) + 0.5 * rho * off
-    best_upper = min(zero_value, float(upper.min()))
-    keep = np.flatnonzero(lower <= best_upper * (1.0 + 1e-12) + 1e-12)
+    # closed forms, x = q on the top entry or on the block tied with it:
+    # - a minimizer with c = rho - a/r^3 <= 0 has tied anchors on its
+    #   support (m_i grows as p_i shrinks there, so otherwise swapping two
+    #   magnitudes lowers ||x - q|| at the same ratio), so it is x = q on a
+    #   tied top block, and the top entry alone does at least as well
+    # - on prefixes 1 and ktie, x = q is the only stationary point with
+    #   c > 0 (the other zero of h below is the open end of the bracket)
+    best = (zero_value, 0, None)    # (value, k, tau); tau None: x = q
+    for k in {1, ktie}:
+        examined += 1
+        value = k ** 0.5 + 0.5 * rho_u * off[k - 1]
+        if value < best[0]:
+            best = (value, k, None)
 
-    best_val = zero_value
-    best = None  # (k_index, t_root, a, r)
+    # c > 0 on a prefix k > ktie: with tau = 1/(rho_u ||x||), stationarity
+    # gives m = (p - tau)/(rho_u tau ||p - tau||) on the prefix and
+    # rho_u tau <p, p - tau> = ||p - tau||; off-support optimality and
+    # m_k > 0 put tau in the bracket [p_{k+1}, p_k).  With s = p_k - tau the
+    # equation reads h(tau) = 0 for the concave
+    #     h = rho_u tau (E_k + s P_k) - sqrt(D2_k + 2 s D1_k + k s^2)
+    # where P_k = sum p_i, D1_k = sum (p_i - p_k), D2_k = sum (p_i - p_k)^2
+    # and E_k = sum p_i (p_i - p_k) over the prefix, all summed from the
+    # nonnegative gaps delta, so no term cancels.
+    K = np.arange(1, kmax + 2, dtype=float)
+    delta = p[:-1] - p[1:]
+    D1 = np.zeros(kmax + 1)
+    D2 = np.zeros(kmax + 1)
+    np.cumsum(K[:-1] * delta, out=D1[1:])
+    np.cumsum(delta * (2.0 * D1[:-1] + K[:-1] * delta), out=D2[1:])
+    P = np.cumsum(p)
+    E = D2 + p * D1
+    V = np.cumsum(D2)   # sum over pairs i < j <= k of (p_i - p_j)^2
+    # h is continuous in tau across brackets: H[j] is h at tau = p_{j+1}
+    H = rho_u * p * E - np.sqrt(D2)
+    h_lo, h_hi, gap = H[ktie + 1:], H[ktie:-1], delta[ktie:]
+    # a concave h has one zero in a bracket whose ends differ in sign; with
+    # both ends <= 0 it has two or none, none when the tangents at the ends
+    # meet below 0
+    single = ((h_lo > 0.0) & (h_hi <= 0.0)) | ((h_lo <= 0.0) & (h_hi > 0.0))
+    G = D1[ktie:] / np.sqrt(D2[ktie:])
+    F = rho_u * (E[ktie:-1] - p[ktie:-1] * P[ktie:-1])
+    d_hi = F + G[:-1]
+    d_lo = F + 2.0 * rho_u * gap * P[ktie:-1] + G[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        meet = h_lo + d_lo * ((h_hi - h_lo - d_hi * gap) / (d_lo - d_hi))
+    peak = np.where(d_lo <= 0.0, h_lo, np.where(d_hi >= 0.0, h_hi, meet))
+    pair = (h_lo <= 0.0) & (h_hi <= 0.0) & (gap > 0.0) & (peak >= 0.0)
+    for j in np.flatnonzero(single | pair) + ktie:
+        k = j + 1
+        pj, Pj, Ej, D1j, D2j, Vj = p[j], P[j], E[j], D1[j], D2[j], V[j]
 
-    if keep.size:
-        Pv, S2v, Kv = P[keep], S2[keep], K[keep]
-        # stationarity on a prefix: m_i = (rho p_i - t)/c with c = rho - a t^3;
-        # eliminating (a, c) leaves t^2 (rho S2 - P t)^2 = Q(t) with
-        # Q(t) = rho^2 S2 - 2 rho P t + k t^2, a quartic in t = 1/||x||
-        lead = Pv * Pv
-        roots = _quartic_roots(
-            -2.0 * rho * S2v * Pv / lead,
-            (rho * rho * S2v * S2v - Kv) / lead,
-            2.0 * rho * Pv / lead,
-            -(rho * rho) * S2v / lead,
-        )
-        t = roots.real
-        genuine = (np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(t))) & (t > 0.0)
-        Pm, S2m, Km = Pv[:, None], S2v[:, None], Kv[:, None]
-        Qt = np.maximum(rho * rho * S2m - 2.0 * rho * Pm * t + Km * t * t, 0.0)
-        c = np.where(rho * S2m - Pm * t >= 0.0, 1.0, -1.0) * t * np.sqrt(Qt)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a_c = (rho * Pm - Km * t) / c
-            on_quad = 1.0 / (t * t) - 2.0 * (rho * S2m - t * Pm) / c + S2m
-            cand_vals = a_c * t + 0.5 * rho * (
-                np.maximum(on_quad, 0.0) + off[keep][:, None]
-            )
-        # positivity of every m_i: either t below rho*p_min with c > 0,
-        # or t above rho*p_max with c < 0
-        branch_ok = np.where(c > 0.0,
-                             t < rho * pk[keep][:, None],
-                             t > rho * pk[0])
-        ok = genuine & branch_ok & (a_c > 0.0) & np.isfinite(cand_vals)
-        examined += int(np.count_nonzero(genuine))
-        if np.any(ok):
-            masked = np.where(ok, cand_vals, np.inf)
-            i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-            if masked[i, j] < best_val:
-                best_val = float(masked[i, j])
-                best = (int(keep[i]), float(t[i, j]),
-                        float(a_c[i, j]), float(1.0 / t[i, j]))
+        def h(tau):
+            s = pj - tau
+            rb = (D2j + s * (2.0 * D1j + k * s)) ** 0.5
+            return (rho_u * tau * (Ej + s * Pj) - rb,
+                    rho_u * (Ej + s * Pj - tau * Pj) + (D1j + k * s) / rb)
 
-    if best is None:
+        def dh(tau):
+            s = pj - tau
+            b = D2j + s * (2.0 * D1j + k * s)
+            return h(tau)[1], -2.0 * rho_u * Pj - Vj / b**1.5
+
+        for tau in _concave_roots(h, dh, p[j + 1], pj, H[j + 1], H[j]):
+            examined += 1
+            if tau >= pj:
+                continue    # m_k = 0: the root belongs to prefix k - 1
+            # ratio R = sum m / ||m|| and ||m - p||^2 = tau^2 (k - R^2)
+            s = pj - tau
+            b = D2j + s * (2.0 * D1j + k * s)
+            value = (D1j + k * s) / b**0.5 \
+                + 0.5 * rho_u * (tau * tau * Vj / b + off[j])
+            if value < best[0]:
+                best = (value, k, tau)
+
+    _, k, tau = best
+    if k == 0:
         return ProxResult(np.zeros(n), zero_value, Support(()), examined)
-
-    k_idx, t_root, a_c, r_c = best
-    k = k_idx + 1
-    p_slice = pk[:k]
-    a_c, r_c, converged = _polish(a_c, r_c, rho, p_slice)
-    if not converged:
-        # the quartic root is already accurate; accept it if the scalar
-        # residual is small enough
-        c = rho - a_c / r_c**3
-        f1 = abs((rho * p_slice.sum() - k / r_c) / c - a_c) / (1.0 + a_c)
-        if not (c != 0 and f1 <= 1e-10):
-            raise NonConvergence("prox scalar system did not converge")
-    c = rho - a_c / r_c**3
-    m = (rho * p_slice - 1.0 / r_c) / c
-    if np.any(m <= 0.0):
-        raise NonConvergence("prox candidate lost positivity after polish")
     idx = order[:k]
     x = np.zeros(n)
-    x[idx] = signs[idx] * m
+    if tau is None:
+        x[idx] = q[idx]
+    else:
+        p_slice = p[:k]
+        s = p[k - 1] - tau
+        b = D2[k - 1] + s * (2.0 * D1[k - 1] + k * s)
+        r_c = 1.0 / (rho_u * tau)
+        a_c = (D1[k - 1] + k * s) / b**0.5 * r_c
+        a_c, r_c, converged = _polish(a_c, r_c, rho_u, p_slice)
+        if not converged:
+            # the bracketed root is already accurate; accept it if the
+            # scalar residual is small enough
+            c = rho_u - a_c / r_c**3
+            f1 = abs((rho_u * p_slice.sum() - k / r_c) / c - a_c) / (1.0 + a_c)
+            if not (c != 0 and f1 <= 1e-10):
+                raise NonConvergence("prox scalar system did not converge")
+        c = rho_u - a_c / r_c**3
+        m = (rho_u * p_slice - 1.0 / r_c) / c
+        if np.any(m <= 0.0):
+            raise NonConvergence("prox candidate lost positivity after polish")
+        x[idx] = signs[idx] * (scale * m)
     value = ratio(x) + 0.5 * rho * float((x - q) @ (x - q))
     if zero_value < value:
         return ProxResult(np.zeros(n), zero_value, Support(()), examined)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ratiopt.exceptions import DegenerateColumn, DimensionMismatch, ZeroReference
+from ratiopt.exceptions import (DegenerateColumn, DimensionMismatch,
+                                NonConvergence, ZeroReference)
 from ratiopt.expkit.generate import (
     SynthSpec,
     gen_gaussian_corr,
@@ -249,6 +250,27 @@ class TestRealdataPipeline:
 
         got = cross_validate_gamma(ds, [1e-6, 1e2], 5, solver)
         assert got == 1e-6
+
+    def test_cv_solver_failure_scores_inf(self):
+        M, y, _ = load_csv(smoke_dataset_path(), "target")
+        ds = build_dataset(M, y, 0.8, 4, 0)
+
+        def solver(A, b, gamma):
+            if gamma < 1.0:
+                raise NonConvergence("no convergence at this gamma")
+            return np.linalg.lstsq(A, b, rcond=None)[0]
+
+        assert cross_validate_gamma(ds, [0.5, 2.0], 4, solver) == 2.0
+
+    def test_cv_other_errors_propagate(self):
+        M, y, _ = load_csv(smoke_dataset_path(), "target")
+        ds = build_dataset(M, y, 0.8, 4, 0)
+
+        def solver(A, b, gamma):
+            raise ValueError("a bug, not a solver failure")
+
+        with pytest.raises(ValueError, match="a bug"):
+            cross_validate_gamma(ds, [0.5, 2.0], 4, solver)
 
     def test_default_grid(self):
         assert len(DEFAULT_GAMMA_GRID) == 7

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prox_eig_oracle import eig_prox
 from prox_oracle import oracle_value
-from ratiopt.exceptions import ZeroVector
+from ratiopt.exceptions import NonConvergence, ZeroVector
 from ratiopt.model import Cone, ratio
 from ratiopt.prox import (
     ProxQuery,
@@ -133,6 +134,124 @@ class TestProxStructure:
             res = prox(q, rho, cone)
             assert res.value <= oracle_value(
                 q, rho, nonneg=(cone is Cone.NONNEG)) + 1e-8
+
+
+class TestProxEdgeCases:
+    """Cases at the seams of the bracket search, each against both oracles."""
+
+    @staticmethod
+    def check(q, rho, cone=Cone.FREE):
+        res = prox(q, rho, cone)
+        nonneg = cone is Cone.NONNEG
+        assert res.value <= oracle_value(q, rho, nonneg=nonneg) + 1e-8
+        ref = eig_prox(ProxQuery(np.asarray(q, float), rho, cone))
+        assert res.value <= ref.value + 1e-12 * (1.0 + abs(ref.value))
+        return res
+
+    def test_one_sparse_double_root(self):
+        # on prefix 1 the quartic is (rho p - t)^2 (p^2 t^2 - 1): the double
+        # root t = rho p sits at the open end of the bracket (m = 0), the
+        # candidate is t = 1/p, which is x = q on the top entry
+        res = self.check([5.0, 0.1, -0.05], 1.0)
+        assert res.x.tolist() == [5.0, 0.0, 0.0]
+        assert res.value == pytest.approx(1.0 + 0.5 * (0.1**2 + 0.05**2))
+
+    def test_one_dimensional_weak_coupling(self):
+        # rho q^2 < 1 puts the 1-D stationary point on the c < 0 branch
+        res = self.check([0.3], 0.5)
+        assert res.x.tolist() == [0.3] and res.value == 1.0
+
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 1.5, 3.0])
+    def test_tied_top_block_both_sides_of_threshold(self, factor):
+        # q = (2, 2, 2, 1): the tied block is stationary with c <= 0 exactly
+        # when rho sqrt(3) 2^2 <= 1; below the threshold the top entry alone
+        # wins, above it the block does until the tail entry joins
+        rho = factor / (4.0 * np.sqrt(3.0))
+        res = self.check([2.0, 2.0, 2.0, 1.0], rho)
+        expected = {0.5: 1, 0.9: 1, 1.1: 1, 1.5: 3, 3.0: 4}[factor]
+        assert len(res.support) == expected
+        if expected < 4:
+            assert res.x[:expected].tolist() == [2.0] * expected
+
+    def test_block_stationary_point_on_a_breakpoint(self):
+        # at rho = 1/(2 sqrt 3) the block's threshold 1/(rho ||x||) equals the
+        # tail anchor: prefix 4 then has its root at the open end of its
+        # bracket, with m_4 = 0, and must not add the tail entry
+        res = self.check([2.0, 2.0, 2.0, 1.0], 1.0 / (2.0 * np.sqrt(3.0)))
+        assert res.support.indices == (0, 1, 2)
+        assert res.x.tolist() == [2.0, 2.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize("rho", [0.05, 0.2, 0.5, 1.0, 3.0, 10.0])
+    def test_tie_inside_leaves_an_empty_bracket(self, rho):
+        # p_2 = p_3 makes the bracket of prefix 2 empty: a c > 0 support
+        # never splits tied anchors
+        res = self.check([3.0, -2.0, 2.0, 1.0], rho)
+        assert len(res.support) != 2
+
+    def test_bracket_with_two_roots(self):
+        # found by a seeded search and confirmed by the eigenvalue oracle: on
+        # prefix 2 the quartic is negative at both ends of [0, rho p_2) =
+        # [0, 1.9287) and has the roots t = 1.5554 and 1.9213 inside, so an
+        # endpoint sign test alone finds no candidate; the minimizer keeps
+        # both entries
+        q, rho = [0.45, -0.46], 4.286
+        res = self.check(q, rho)
+        assert res.support.indices == (0, 1)
+        assert res.value == pytest.approx(1.413792822646396, abs=1e-12)
+
+    def test_nonneg_with_no_positive_anchor(self):
+        res = self.check([-1.0, -2.0, 0.0], 3.0, Cone.NONNEG)
+        assert not np.any(res.x) and len(res.support) == 0
+        assert res.value == 1.0 + 1.5 * 5.0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_anchor_scales(self, scale):
+        # (q, rho) -> (s q, rho / s^2) maps minimizers by x -> s x and keeps
+        # the value; ||q||^2 and rho ||q||^2 stay representable at 1e+-150
+        rng = np.random.default_rng(9)
+        for cone in (Cone.FREE, Cone.NONNEG):
+            for _ in range(10):
+                q = rng.standard_normal(6)
+                rho = float(10.0 ** rng.uniform(-2, 2))
+                base = prox(q, rho, cone)
+                res = prox(scale * q, rho / scale**2, cone)
+                assert res.support == base.support
+                assert res.value == pytest.approx(base.value, rel=1e-12)
+                np.testing.assert_allclose(res.x / scale, base.x, rtol=1e-9,
+                                           atol=0.0)
+
+
+class TestEigOracleEquivalence:
+    """Large-n agreement with the companion-eigenvalue pass.
+
+    The problem is invariant under (q, rho) -> (s q, rho / s^2), so the
+    sweep covers the anchor scale and the coupling rho * max|q|^2 over
+    1e+-8 each.  Anchors are a few spikes over Gaussian noise, as in ADMM.
+    """
+
+    def test_large_n(self):
+        rng = np.random.default_rng(2024)
+        for n in (256, 2048, 4096):
+            for scale in (1e-8, 1.0, 1e8):
+                for coupling in (1e-8, 1e-2, 1.0, 3.0, 10.0, 30.0, 1e2, 1e3,
+                                 1e8):
+                    for cone in (Cone.FREE, Cone.NONNEG):
+                        q = 0.05 * rng.standard_normal(n)
+                        spikes = rng.choice(n, 12, replace=False)
+                        q[spikes] += rng.choice([-1.0, 1.0], 12) \
+                            * (0.5 + rng.random(12))
+                        q *= scale
+                        rho = coupling / float(np.max(np.abs(q))) ** 2
+                        query = ProxQuery(q, rho, cone)
+                        try:
+                            ref = eig_prox(query)
+                        except NonConvergence:
+                            continue
+                        res = prox_l1_over_l2(query)
+                        tol = 1e-12 * (1.0 + abs(ref.value))
+                        assert res.value <= ref.value + tol
+                        if abs(res.value - ref.value) > tol:
+                            assert res.support == ref.support
 
 
 class TestHardShrink:
