@@ -5,37 +5,25 @@ operator for the ratio term, an ADMM splitting, and a two-phase scheme that
 switches to a semismooth Newton method once the support settles.
 """
 
-from .admm import (AdmmState, AdmmTrace, LeastSquaresYSolver, admm_step,
-                   relative_change, run_admm, run_admm_l1_baseline,
-                   y_update_least_squares, y_update_residual_norm)
-from .hafam import (AbsoluteTau, FractionOfL1, HafamReport, embed, restrict,
-                    run_hafam, support_stable)
-from .model import (Cone, Fidelity, NewtonConfig, Nondegeneracy, Problem,
-                    SolverConfig, Support, fidelity_grad, fidelity_value,
-                    kkt_residual, lipschitz_estimate, nondegeneracy_check,
-                    objective, ratio, subgradient_distance)
-from .prox import (ProxQuery, ProxResult, fraction_tau, hard_shrink_support,
+from .admm import AdmmState, run_admm, run_admm_l1_baseline
+from .hafam import AbsoluteTau, FractionOfL1, run_hafam
+from .model import (Cone, Fidelity, NewtonConfig, Problem, SolverConfig,
+                    Support, fidelity_grad, kkt_residual, lipschitz_estimate,
+                    objective, ratio, relerr, subgradient_distance)
+from .prox import (ProxQuery, fraction_tau, hard_shrink_support,
                    prox_l1_over_l2, soft_threshold)
-from .ssnewton import (HessianModel, ReducedProblem, SsnTrace, armijo,
-                       backtrack, hessian, newton_direction, pd_gamma_bound,
-                       phi_grad, phi_value, run_ssnewton)
+from .ssnewton import ReducedProblem, run_ssnewton
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "Cone", "Fidelity", "Problem", "Support", "SolverConfig", "NewtonConfig",
-    "Nondegeneracy", "ratio", "objective", "fidelity_value", "fidelity_grad",
-    "kkt_residual", "subgradient_distance", "lipschitz_estimate",
-    "nondegeneracy_check",
-    "ProxQuery", "ProxResult", "prox_l1_over_l2", "hard_shrink_support",
-    "soft_threshold", "fraction_tau",
-    "AdmmState", "AdmmTrace", "LeastSquaresYSolver", "admm_step", "run_admm",
-    "run_admm_l1_baseline", "relative_change", "y_update_least_squares",
-    "y_update_residual_norm",
-    "ReducedProblem", "HessianModel", "SsnTrace", "phi_value", "phi_grad",
-    "hessian", "newton_direction", "backtrack", "armijo", "run_ssnewton",
-    "pd_gamma_bound",
-    "AbsoluteTau", "FractionOfL1", "HafamReport", "run_hafam",
-    "support_stable", "embed", "restrict",
+    "ratio", "relerr", "objective", "fidelity_grad", "kkt_residual",
+    "subgradient_distance", "lipschitz_estimate",
+    "ProxQuery", "prox_l1_over_l2", "hard_shrink_support", "soft_threshold",
+    "fraction_tau",
+    "AdmmState", "run_admm", "run_admm_l1_baseline",
+    "ReducedProblem", "run_ssnewton",
+    "AbsoluteTau", "FractionOfL1", "run_hafam",
 ]

@@ -7,12 +7,14 @@ One step:
     z^{k+1} = z^k + beta (x^{k+1} - y^{k+1})
 
 stopping on the relative change of x or on a caller-supplied support
-stability window (the two-phase solver's transition rule).
+stability window (the two-phase solver's transition rule).  The iterates do
+not depend on the window, so a run is resumable: pass the returned
+AdmmState in place of x0 and the run continues from (x, y, z, k) and stops
+exactly where one uninterrupted run with the new settings would.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +26,10 @@ from .model import (
     Fidelity,
     Problem,
     SolverConfig,
-    Support,
     fidelity_grad,
     lipschitz_estimate,
     objective,
+    relerr,
     subgradient_distance,
 )
 from .prox import ProxQuery, prox_l1_over_l2, soft_threshold
@@ -71,11 +73,6 @@ class LeastSquaresYSolver:
         return y + self._solve_once(res)
 
 
-def y_update_least_squares(p: Problem, beta: float, v) -> np.ndarray:
-    """Exact y-subproblem solution for the least-squares fidelity."""
-    return LeastSquaresYSolver(p.A, p.b, beta).solve(np.asarray(v, dtype=float))
-
-
 def y_update_residual_norm(p: Problem, beta: float, v, inner_tol: float = 1e-9,
                            max_iters: int = 10000) -> np.ndarray:
     """y-subproblem for Phi = ||Ay - b||, solved through its dual.
@@ -117,20 +114,23 @@ def y_update_residual_norm(p: Problem, beta: float, v, inner_tol: float = 1e-9,
 
 @dataclass
 class AdmmState:
-    """Iterate triple plus support history and convergence telemetry."""
+    """Iterate triple after k steps and the last step's telemetry; streak
+    counts the consecutive iterates, ending at x^k, with support `support`
+    (0 for a fresh state)."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     k: int = 0
-    support_history: tuple = ()
+    support: np.ndarray | None = None
+    streak: int = 0
     relerr: float = np.inf
     y_residual: float = np.inf
 
 
 @dataclass
 class AdmmTrace:
-    """Per-iteration records (append-only, equal lengths)."""
+    """Per-iteration records of one call (append-only, equal lengths)."""
 
     relerr: list = field(default_factory=list)
     y_residual: list = field(default_factory=list)
@@ -143,15 +143,18 @@ class AdmmTrace:
     stop_reason: str = ""
 
 
-def relative_change(x_prev, x_new) -> float:
-    num = np.linalg.norm(np.asarray(x_prev) - np.asarray(x_new))
-    den = max(1e-16, np.linalg.norm(x_prev), np.linalg.norm(x_new))
-    return float(num / den)
-
-
-def _windows_equal(window) -> bool:
-    first = window[0]
-    return all(np.array_equal(first, s) for s in window)
+def _stop_reason(st: AdmmState, cfg: SolverConfig, support_window) -> str:
+    """Why the run stops at st, or "" to keep iterating."""
+    if support_window is not None and st.streak >= support_window + 1:
+        return "support_stable"
+    # x = 0 is never stationary under the data condition; a zero iterate
+    # early on (e.g. from a zero start) must not trip the relative-change
+    # stop.
+    if st.relerr < cfg.rel_tol and np.any(st.x):
+        return "relerr"
+    if st.k >= cfg.imax:
+        return "imax"
+    return ""
 
 
 def _make_y_step(p: Problem, cfg: SolverConfig):
@@ -186,33 +189,29 @@ def _l1_x_step(p: Problem, cfg: SolverConfig):
 
 def _run_loop(p, cfg, x0, x_step, support_window=None, record=True,
               ratio_model=True):
+    if isinstance(x0, AdmmState):
+        st = x0
+    else:
+        x = np.asarray(x0, dtype=float).ravel().copy()
+        st = AdmmState(x=x, y=x.copy(), z=x.copy())
+    trace = AdmmTrace(stop_reason=_stop_reason(st, cfg, support_window))
+    if trace.stop_reason:
+        return st, trace
     beta = cfg.beta
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    y = x.copy()
-    z = x.copy()
     y_step = _make_y_step(p, cfg)
-    L = None
     bound_coef = np.nan
     if record and ratio_model and p.fidelity is Fidelity.LEAST_SQUARES:
-        L = lipschitz_estimate(p, seed=cfg.seed)
+        L = trace.lipschitz = lipschitz_estimate(p, seed=cfg.seed)
         bound_coef = L * L / beta + beta
-    window_len = (support_window + 1) if support_window is not None else 1
-    window = deque(maxlen=max(window_len, 1))
-    trace = AdmmTrace(lipschitz=L)
-    trace.stop_reason = "imax"
-    relerr = np.inf
-    y_res = np.inf
-    k = 0
-    for k in range(1, cfg.imax + 1):
-        q = y - z / beta
-        x_new, supp = x_step(q)
-        v = x_new + z / beta
-        y_new = y_step(v)
+    while not trace.stop_reason:
+        x, y, z = st.x, st.y, st.z
+        x_new, supp = x_step(y - z / beta)
+        y_new = y_step(x_new + z / beta)
         z_new = z + beta * (x_new - y_new)
         y_res = float(np.linalg.norm(y - y_new))
-        relerr = relative_change(x, x_new)
+        change = relerr(x, x_new)
         if record:
-            trace.relerr.append(relerr)
+            trace.relerr.append(change)
             trace.y_residual.append(y_res)
             trace.kkt_upper_bound.append(bound_coef * y_res)
             trace.support.append(supp)
@@ -230,51 +229,24 @@ def _run_loop(p, cfg, x0, x_step, support_window=None, record=True,
                     p.gamma * np.abs(x_new).sum() + 0.5 * float(res @ res))
                 trace.grad_gap.append(np.nan)
                 trace.subgrad_distance.append(np.nan)
-        x, y, z = x_new, y_new, z_new
-        window.append(supp)
-        if support_window is not None and len(window) == support_window + 1 \
-                and _windows_equal(window):
-            trace.stop_reason = "support_stable"
-            break
-        # x = 0 is never stationary under the data condition; a zero
-        # iterate early on (e.g. from a zero start) must not trip the
-        # relative-change stop.
-        if relerr < cfg.rel_tol and np.any(x_new):
-            trace.stop_reason = "relerr"
-            break
-    history = tuple(Support(tuple(s)) for s in window)
-    state = AdmmState(x=x, y=y, z=z, k=k, support_history=history,
-                      relerr=relerr, y_residual=y_res)
-    return state, trace
-
-
-def admm_step(p: Problem, cfg: SolverConfig, st: AdmmState,
-              y_step=None) -> AdmmState:
-    """One full (x, y, z) update from the given state."""
-    if y_step is None:
-        y_step = _make_y_step(p, cfg)
-    beta = cfg.beta
-    q = st.y - st.z / beta
-    res = prox_l1_over_l2(ProxQuery(q, beta / p.gamma, p.cone))
-    x_new = res.x
-    v = x_new + st.z / beta
-    y_new = y_step(v)
-    z_new = st.z + beta * (x_new - y_new)
-    history = (st.support_history + (res.support,))[-(cfg.T + 1):]
-    return AdmmState(
-        x=x_new, y=y_new, z=z_new, k=st.k + 1, support_history=history,
-        relerr=relative_change(st.x, x_new),
-        y_residual=float(np.linalg.norm(st.y - y_new)),
-    )
+        same = st.streak and np.array_equal(supp, st.support)
+        st = AdmmState(x=x_new, y=y_new, z=z_new, k=st.k + 1, support=supp,
+                       streak=st.streak + 1 if same else 1, relerr=change,
+                       y_residual=y_res)
+        trace.stop_reason = _stop_reason(st, cfg, support_window)
+    return st, trace
 
 
 def run_admm(p: Problem, cfg: SolverConfig, x0, support_window=None,
              record=True):
-    """Iterate until RelErr < rel_tol or the iteration cap.
+    """Iterate until RelErr < rel_tol or until cfg.imax total iterations.
 
-    With support_window = T the loop instead stops as soon as the support
-    is unchanged over T+1 consecutive iterates (two-phase transition rule).
-    Initialization follows y0 = z0 = x0.
+    With support_window = T the loop also stops as soon as the support is
+    unchanged over T+1 consecutive iterates (two-phase transition rule),
+    checked before the RelErr stop.  x0 is either a start point, with
+    y0 = z0 = x0, or an AdmmState to resume; a state that already meets a
+    stop rule comes back unchanged.  Returns (state, trace), where the
+    trace covers only the iterations this call ran.
     """
     x_step = _ratio_x_step(p, cfg)
     return _run_loop(p, cfg, x0, x_step, support_window=support_window,

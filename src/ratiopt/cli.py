@@ -6,7 +6,8 @@ Every output file embeds a RunManifest whose hash covers the command, the
 resolved configuration, the seed, and the toolkit version (timestamps are
 excluded), so identical manifests mean identical single-threaded results.
 
-Exit codes: 0 success, 1 usage/config/data error, 2 iteration-cap exit.
+Exit codes: 0 success, 1 usage/config/data error, 2 iteration-cap exit
+or a stalled Newton phase.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ def _run_solver(p: Problem, cfg: dict):
         else:
             tau_rule = AbsoluteTau(cfg.get("tau", 0.0))
         rep = run_hafam(p, scfg, x0, tau_rule=tau_rule)
-        return rep.x_final, rep.total_it, rep, not rep.phase2_skipped
+        converged = not rep.phase2_skipped and not rep.phase2_trace.stalled
+        return rep.x_final, rep.total_it, rep, converged
     raise ConfigError(f"unknown solver '{solver}'")
 
 

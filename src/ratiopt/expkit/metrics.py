@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import DimensionMismatch, ZeroReference
+# re-exported: defined in model so that admm, below expkit, can share it
+from ..model import relerr  # noqa: F401
 
 
 def _pair(x, y):
@@ -22,13 +24,6 @@ def rerr(x, xstar) -> float:
     if nrm == 0.0:
         raise ZeroReference("rerr needs a nonzero reference")
     return float(np.linalg.norm(x - xstar) / nrm)
-
-
-def relerr(x_prev, x) -> float:
-    """Relative change with the guarded denominator max(1e-16, norms)."""
-    x_prev, x = _pair(x_prev, x)
-    den = max(1e-16, np.linalg.norm(x_prev), np.linalg.norm(x))
-    return float(np.linalg.norm(x_prev - x) / den)
 
 
 def iacc(x1, x2) -> float:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..admm import run_admm
+from ..exceptions import RatioptError
 from ..hafam import AbsoluteTau, run_hafam
 from ..model import Cone, Fidelity, Problem, SolverConfig
 from .generate import SynthSpec
@@ -34,17 +35,32 @@ class StudyResult:
     failures: list = field(default_factory=list)  # (m, s, T, seed, message)
 
 
-def _solve_pair(spec: SynthSpec, gamma: float, beta: float, T: int,
-                imax: int = 2000):
-    """Standalone ADMM solution x_hat and the Phase-I iterate x_T^I."""
-    A, b, xstar = spec.build()
-    p = Problem(A=A, b=b, gamma=gamma, cone=Cone.FREE,
-                fidelity=Fidelity.LEAST_SQUARES)
-    x0 = np.zeros(p.n)
-    cfg_full = SolverConfig(beta=beta, T=T, imax=imax)
-    st_full, _ = run_admm(p, cfg_full, x0, record=False)
-    rep = run_hafam(p, cfg_full, x0)
-    return xstar, st_full.x, rep
+def _identify_instance(spec: SynthSpec, T_list, gamma: float, beta: float,
+                       imax: int) -> dict:
+    """T -> IAcc(x_hat, x_T^I), or the message of the RatioptError that
+    failed T.  Each phase one resumes from that of the next smaller T and
+    x_hat from the last, so a failed x_hat fails every T."""
+    phase1 = {}
+    try:
+        A, b, _ = spec.build()
+        p = Problem(A=A, b=b, gamma=gamma, cone=Cone.FREE,
+                    fidelity=Fidelity.LEAST_SQUARES)
+        state = np.zeros(p.n)
+        for T in sorted(set(T_list)):
+            try:
+                rep = run_hafam(p, SolverConfig(beta=beta, T=T, imax=imax),
+                                state)
+            except RatioptError as exc:
+                phase1[T] = str(exc)
+                continue
+            phase1[T] = rep.x_phase1
+            state = rep.phase1
+        x_hat = run_admm(p, SolverConfig(beta=beta, imax=imax), state,
+                         record=False)[0].x
+    except RatioptError as exc:
+        return {T: str(exc) for T in T_list}
+    return {T: x if isinstance(x, str) else iacc(x_hat, x)
+            for T, x in phase1.items()}
 
 
 def finite_identification_study(m_list, s_list, T_list, *, n: int,
@@ -53,7 +69,8 @@ def finite_identification_study(m_list, s_list, T_list, *, n: int,
                                 imax: int = 2000) -> StudyResult:
     """IAcc(x_hat, x_T^I) averaged over seeds for every (m, s, T) cell.
 
-    Per-seed solver failures are recorded in the result, not raised.
+    Each instance is built once and solved along one ADMM trajectory;
+    per-seed RatioptError failures are recorded in the result, not raised.
     """
     if not (list(m_list) and list(s_list) and list(T_list)):
         raise ValueError("study grid must be nonempty")
@@ -61,25 +78,24 @@ def finite_identification_study(m_list, s_list, T_list, *, n: int,
     out = StudyResult()
     for m in m_list:
         for s in s_list:
+            per_seed = [
+                _identify_instance(
+                    SynthSpec(family="gaussian", m=m, n=n, s=s,
+                              coherence=coherence, dynamic_D=1.0, seed=seed),
+                    T_list, gamma, beta, imax)
+                for seed in seeds]
             for T in T_list:
                 vals = []
-                failed = 0
-                for seed in seeds:
-                    spec = SynthSpec(family="gaussian", m=m, n=n, s=s,
-                                     coherence=coherence, dynamic_D=1.0,
-                                     seed=seed)
-                    try:
-                        _, x_hat, rep = _solve_pair(spec, gamma, beta, T,
-                                                    imax=imax)
-                        vals.append(iacc(x_hat, rep.x_phase1))
-                    except Exception as exc:  # noqa: BLE001 - per-cell ledger
-                        failed += 1
-                        out.failures.append((m, s, T, seed, str(exc)))
+                for seed, result in zip(seeds, per_seed):
+                    if isinstance(result[T], str):
+                        out.failures.append((m, s, T, seed, result[T]))
+                    else:
+                        vals.append(result[T])
                 mean = float(np.mean(vals)) if vals else float("nan")
                 out.cells.append(IdentCell(
                     m=m, s=s, T=T, sparsity_level=s / m,
                     sample_level=m / m_max, mean_iacc=mean,
-                    n_ok=len(vals), n_failed=failed,
+                    n_ok=len(vals), n_failed=len(seeds) - len(vals),
                 ))
     return out
 
@@ -110,9 +126,12 @@ def noisy_tau_study(spec_base: SynthSpec, tau_list, seeds, *, gamma: float,
         p = Problem(A=A, b=b, gamma=gamma, cone=Cone.FREE,
                     fidelity=Fidelity.LEAST_SQUARES)
         cfg = SolverConfig(beta=beta, T=T, imax=imax)
+        state = np.zeros(p.n)
         for tau in tau_list:
-            rep = run_hafam(p, cfg, np.zeros(p.n),
-                            tau_rule=AbsoluteTau(float(tau)))
+            # phase one does not depend on tau: after the first tau it
+            # resumes from its stopped state and only Newton runs again
+            rep = run_hafam(p, cfg, state, tau_rule=AbsoluteTau(float(tau)))
+            state = rep.phase1
             shrunk = np.zeros(p.n)
             shrunk[rep.support.to_array()] = 1.0
             truth_pattern = (xstar != 0).astype(float)
@@ -135,6 +154,6 @@ def profile_times(problems, solvers) -> np.ndarray:
             try:
                 fn(p, x0)
                 t[i, j] = max(time.perf_counter() - tic, 1e-9)
-            except Exception:  # noqa: BLE001 - non-solve
+            except RatioptError:
                 pass
     return t

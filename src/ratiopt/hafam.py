@@ -5,6 +5,11 @@ T+1 consecutive iterates.  The phase-one iterate is hard-shrunk, the
 problem is restricted to the surviving support, and the reduced problem is
 solved by the globalized semismooth Newton method; the result is embedded
 back into the full space with exact zeros off the support.
+
+Phase I is a prefix of the plain ADMM run from the same start, and it can
+resume: run_hafam accepts the phase-one AdmmState of an earlier report (a
+smaller T) in place of x0, and run_admm accepts it to finish the
+standalone solve, so one trajectory serves every T.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import run_admm
+from .admm import AdmmState, run_admm
 from .exceptions import EmptySupportAfterShrink, IndexOutOfRange
 from .model import Problem, SolverConfig, Support
 from .prox import fraction_tau, hard_shrink_support
@@ -32,17 +37,6 @@ class FractionOfL1:
     """Shrink level chosen so the removed entries hold < frac of the L1 mass."""
 
     frac: float
-
-
-def support_stable(history, T: int) -> bool:
-    """True iff the last T+1 supports exist and are identical."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    history = list(history)
-    if len(history) < T + 1:
-        return False
-    tail = history[-(T + 1):]
-    return all(s == tail[0] for s in tail)
 
 
 def embed(u, support: Support, n: int) -> np.ndarray:
@@ -65,45 +59,56 @@ def restrict(x, support: Support) -> np.ndarray:
 
 @dataclass
 class HafamReport:
+    """Two-phase result; phase1 is the resumable phase-one ADMM state and
+    phase2_trace is None when Newton was skipped."""
+
     x_final: np.ndarray
-    x_phase1: np.ndarray
-    tran_it: int
-    total_it: int
+    phase1: AdmmState
     support: Support
     phase1_trace: object
     phase2_trace: object
     tau: float = 0.0
-    phase2_skipped: bool = False
+
+    @property
+    def x_phase1(self) -> np.ndarray:
+        return self.phase1.x
+
+    @property
+    def tran_it(self) -> int:
+        return self.phase1.k
+
+    @property
+    def phase2_skipped(self) -> bool:
+        return self.phase2_trace is None
+
+    @property
+    def total_it(self) -> int:
+        newton = 0 if self.phase2_skipped else self.phase2_trace.iterations
+        return self.tran_it + newton
 
 
 def run_hafam(p: Problem, cfg: SolverConfig, x0, tau_rule=None) -> HafamReport:
-    """Full two-phase run; degrades to the phase-one output if the support
-    never stabilizes within the iteration cap."""
+    """Full two-phase run from a start point or a phase-one AdmmState;
+    degrades to the phase-one output if the support never stabilizes
+    within the iteration cap."""
     if tau_rule is None:
         tau_rule = AbsoluteTau(cfg.tau)
     state, tr1 = run_admm(p, cfg, x0, support_window=cfg.T)
-    x_phase1 = state.x
-    tran_it = state.k
     if tr1.stop_reason == "imax":
-        return HafamReport(
-            x_final=x_phase1, x_phase1=x_phase1, tran_it=tran_it,
-            total_it=tran_it, support=Support.from_vector(x_phase1),
-            phase1_trace=tr1, phase2_trace=None, phase2_skipped=True,
-        )
+        return HafamReport(state.x, state, Support.from_vector(state.x),
+                           phase1_trace=tr1, phase2_trace=None)
     if isinstance(tau_rule, FractionOfL1):
-        tau = fraction_tau(x_phase1, tau_rule.frac)
+        tau = fraction_tau(state.x, tau_rule.frac)
     else:
         tau = float(tau_rule.tau)
-    xhat, supp = hard_shrink_support(x_phase1, tau)
+    xhat, supp = hard_shrink_support(state.x, tau)
     if len(supp) == 0:
         raise EmptySupportAfterShrink(
             f"tau={tau} removed every entry of the phase-one iterate")
     rp = ReducedProblem.from_support(p, supp)
     u0 = restrict(xhat, supp)
     u, tr2 = run_ssnewton(rp, u0, cfg.newton)
-    x_final = embed(u, supp, p.n)
     return HafamReport(
-        x_final=x_final, x_phase1=x_phase1, tran_it=tran_it,
-        total_it=tran_it + tr2.iterations, support=supp,
+        x_final=embed(u, supp, p.n), phase1=state, support=supp,
         phase1_trace=tr1, phase2_trace=tr2, tau=tau,
     )

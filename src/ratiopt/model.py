@@ -47,6 +47,16 @@ def ratio(x) -> float:
     return float(np.abs(x).sum() / nrm)
 
 
+def relerr(x_prev, x) -> float:
+    """Relative change with the guarded denominator max(1e-16, norms)."""
+    x_prev = np.asarray(x_prev, dtype=float).ravel()
+    x = np.asarray(x, dtype=float).ravel()
+    if x_prev.shape != x.shape:
+        raise DimensionMismatch(f"shapes {x_prev.shape} and {x.shape} differ")
+    den = max(1e-16, np.linalg.norm(x_prev), np.linalg.norm(x))
+    return float(np.linalg.norm(x_prev - x) / den)
+
+
 @dataclass(frozen=True)
 class Support:
     """Sorted set of column indices forming a support set."""

@@ -22,16 +22,21 @@ def _restricted_min(targets: np.ndarray, rho: float) -> float:
     """
 
     def f(m):
+        # the exact gradient keeps L-BFGS-B inside the bounds; its
+        # finite-difference default can step below them and fail
         nrm = np.linalg.norm(m)
+        total = m.sum()
         diff = m - targets
-        return m.sum() / nrm + 0.5 * rho * float(diff @ diff)
+        value = total / nrm + 0.5 * rho * float(diff @ diff)
+        grad = 1.0 / nrm - (total / nrm**3) * m + rho * diff
+        return value, grad
 
     best = np.inf
     pos = np.maximum(targets, 1e-3)
     starts = [pos, np.ones_like(pos), 0.1 * np.ones_like(pos), 10.0 * pos]
     bounds = [(1e-10, None)] * targets.size
     for m0 in starts:
-        res = minimize(f, m0, method="L-BFGS-B", bounds=bounds,
+        res = minimize(f, m0, method="L-BFGS-B", jac=True, bounds=bounds,
                        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500})
         best = min(best, float(res.fun))
     return best

@@ -1,4 +1,7 @@
-"""ADMM splitting: subproblem solvers, stepping, stopping, baseline."""
+"""ADMM splitting: subproblem solvers, stepping, stopping, resuming,
+baseline."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +9,8 @@ import pytest
 from ratiopt.admm import (
     AdmmState,
     LeastSquaresYSolver,
-    admm_step,
-    relative_change,
     run_admm,
     run_admm_l1_baseline,
-    y_update_least_squares,
     y_update_residual_norm,
 )
 from ratiopt.exceptions import FactorizationFailure
@@ -21,12 +21,33 @@ from ratiopt.model import (
     SolverConfig,
     fidelity_grad,
     kkt_residual,
+    relerr,
 )
 
 
 def make_problem(A, b, gamma, **kw):
     return Problem(A=np.asarray(A, float), b=np.asarray(b, float),
                    gamma=gamma, **kw)
+
+
+def y_update_least_squares(p, beta, v):
+    return LeastSquaresYSolver(p.A, p.b, beta).solve(np.asarray(v, float))
+
+
+def step(p, cfg, st):
+    """Exactly one ADMM step from st; rel_tol only decides when to stop."""
+    nxt, tr = run_admm(p, replace(cfg, imax=st.k + 1, rel_tol=0.0), st,
+                       record=False)
+    assert nxt.k == st.k + 1 and tr.stop_reason == "imax"
+    return nxt
+
+
+def sparse_instance(seed=4, m=20, n=60):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    x_true = np.zeros(n)
+    x_true[[3, 17, 40]] = [1.0, -2.0, 1.5]
+    return make_problem(A, A @ x_true, 1e-3)
 
 
 class TestYUpdateLeastSquares:
@@ -88,7 +109,7 @@ class TestAdmmStep:
         p = make_problem(np.zeros((2, 2)), [0.0, 0.0], 1.0)
         cfg = SolverConfig(beta=2.0)
         st = AdmmState(x=np.zeros(2), y=np.array([1.0, 0.0]), z=np.zeros(2))
-        nxt = admm_step(p, cfg, st)
+        nxt = step(p, cfg, st)
         assert nxt.x == pytest.approx([1.0, 0.0])
         assert nxt.z == pytest.approx(2.0 * (nxt.x - nxt.y))
 
@@ -99,25 +120,33 @@ class TestAdmmStep:
         cfg = SolverConfig(beta=0.5)
         st = AdmmState(x=np.zeros(10), y=np.zeros(10), z=np.zeros(10))
         for _ in range(5):
-            st = admm_step(p, cfg, st)
+            st = step(p, cfg, st)
             gap = np.linalg.norm(fidelity_grad(p, st.y) - st.z)
             assert gap <= 1e-9 * (1.0 + np.linalg.norm(st.z))
 
-    def test_support_history_window(self):
+    def test_support_streak(self):
+        # the streak counts the trailing iterates that share the last support
         p = make_problem(np.eye(3), [2.0, 0.0, 0.0], 0.1)
         cfg = SolverConfig(beta=5.0, T=2)
         st = AdmmState(x=np.zeros(3), y=np.zeros(3), z=np.zeros(3))
+        supports = []
         for _ in range(6):
-            st = admm_step(p, cfg, st)
-        assert len(st.support_history) <= cfg.T + 1
+            st = step(p, cfg, st)
+            supports.append(np.flatnonzero(st.x))
+            trailing = 0
+            while trailing < len(supports) and np.array_equal(
+                    supports[-1 - trailing], supports[-1]):
+                trailing += 1
+            assert np.array_equal(st.support, supports[-1])
+            assert st.streak == trailing <= st.k
 
 
 class TestRelativeChange:
     def test_guarded_denominator(self):
-        assert relative_change(np.zeros(2), np.zeros(2)) == 0.0
+        assert relerr(np.zeros(2), np.zeros(2)) == 0.0
 
     def test_formula(self):
-        assert relative_change([1.0, 0.0], [0.0, 0.0]) == pytest.approx(1.0)
+        assert relerr([1.0, 0.0], [0.0, 0.0]) == pytest.approx(1.0)
 
 
 class TestRunAdmm:
@@ -196,3 +225,67 @@ class TestL1Baseline:
         p = make_problem(np.eye(2), [-1.0, 1.0], 0.1, cone=Cone.NONNEG)
         st, _ = run_admm_l1_baseline(p, SolverConfig(beta=1.0), np.zeros(2))
         assert np.all(st.x >= 0.0)
+
+
+def assert_same_state(a, b):
+    for name in ("x", "y", "z", "support"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.k, a.streak, a.relerr, a.y_residual) == \
+        (b.k, b.streak, b.relerr, b.y_residual)
+
+
+class TestResume:
+    """A run resumed from an AdmmState stops where one run would, bit for
+    bit, whichever rule stops it."""
+
+    @pytest.mark.parametrize("stop, window, imax, legs", [
+        # legs: (window, imax) of the interrupted runs, in order
+        ("support_stable", 30, 2000, [(2, 2000), (None, 9), (5, 2000)]),
+        ("relerr", None, 2000, [(2, 2000), (30, 2000)]),
+        ("imax", None, 40, [(None, 15), (3, 2000)]),
+    ])
+    def test_resume_matches_uninterrupted(self, stop, window, imax, legs):
+        p = sparse_instance()
+        cfg = SolverConfig(beta=0.5, imax=imax)
+        ref, ref_tr = run_admm(p, cfg, np.zeros(p.n), support_window=window)
+        assert ref_tr.stop_reason == stop
+        st = np.zeros(p.n)
+        for leg_window, leg_imax in legs:
+            st, _ = run_admm(p, replace(cfg, imax=leg_imax), st,
+                             support_window=leg_window)
+        assert st.k < ref.k
+        start = st.k
+        st, tr = run_admm(p, cfg, st, support_window=window)
+        assert tr.stop_reason == stop
+        assert_same_state(st, ref)
+        assert len(tr.relerr) == ref.k - start
+        assert tr.relerr == ref_tr.relerr[start:]
+        assert tr.objective == ref_tr.objective[start:]
+
+    def test_stopped_state_returns_unchanged(self):
+        p = sparse_instance()
+        cfg = SolverConfig(beta=0.5)
+        st, tr = run_admm(p, cfg, np.zeros(p.n))
+        assert tr.stop_reason == "relerr"
+        again, tr2 = run_admm(p, cfg, st)
+        assert again is st and tr2.stop_reason == "relerr"
+        assert tr2.relerr == [] and tr2.lipschitz is None
+        capped, tr3 = run_admm(p, replace(cfg, rel_tol=0.0, imax=st.k), st)
+        assert capped is st and tr3.stop_reason == "imax"
+        stable, tr4 = run_admm(p, cfg, st, support_window=st.streak - 1)
+        assert stable is st and tr4.stop_reason == "support_stable"
+
+    def test_window_stops_at_first_stable_window(self):
+        p = sparse_instance()
+        T = 3
+        st, tr = run_admm(p, SolverConfig(beta=0.5), np.zeros(p.n),
+                          support_window=T)
+        assert tr.stop_reason == "support_stable"
+
+        def stable(k):
+            # iterates k-T..k sit at trace indices k-T-1..k-1
+            window = tr.support[k - T - 1:k]
+            return all(np.array_equal(s, window[0]) for s in window)
+
+        assert stable(st.k)
+        assert not any(stable(k) for k in range(T + 1, st.k))

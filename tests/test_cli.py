@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ratiopt import cli
 from ratiopt.cli import (
     PRESETS,
     ConfigError,
@@ -93,6 +94,20 @@ class TestSolveCommand:
         assert code == 2
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["iterations"] == 0
+
+    def test_stalled_newton_exit_2(self, tmp_path, monkeypatch):
+        solve = cli.run_hafam
+
+        def stalled(*args, **kwargs):
+            rep = solve(*args, **kwargs)
+            rep.phase2_trace.stalled = True
+            return rep
+
+        monkeypatch.setattr(cli, "run_hafam", stalled)
+        code = main(["solve", *SOLVE_ARGS, "--out", str(tmp_path / "o")])
+        assert code == 2
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert not report["converged"]
 
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

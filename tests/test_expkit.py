@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ratiopt.admm import run_admm
 from ratiopt.exceptions import (DegenerateColumn, DimensionMismatch,
                                 NonConvergence, ZeroReference)
 from ratiopt.expkit.generate import (
@@ -26,8 +27,12 @@ from ratiopt.expkit.realdata import (
     smoke_dataset_path,
     standardize_columns,
 )
+from ratiopt.expkit import studies
 from ratiopt.expkit.rng import make_rng, standard_normal
-from ratiopt.expkit.studies import finite_identification_study
+from ratiopt.expkit.studies import (finite_identification_study,
+                                    noisy_tau_study, profile_times)
+from ratiopt.hafam import AbsoluteTau, run_hafam
+from ratiopt.model import Problem, SolverConfig
 
 
 class TestRng:
@@ -292,3 +297,92 @@ class TestIdentificationStudy:
         with pytest.raises(ValueError):
             finite_identification_study([], [2], [5], n=16, seeds=[0],
                                         gamma=1e-3, beta=0.1)
+
+    @pytest.mark.parametrize("imax", [60, 400])
+    def test_one_trajectory_matches_from_scratch_solves(self, imax):
+        # the old way: a standalone and a two-phase solve from zero per
+        # (T, seed); T_list is out of order on purpose
+        grid = dict(m_list=[24, 32], s_list=[2, 4], T_list=[30, 5])
+        seeds = range(3)
+        out = finite_identification_study(
+            **grid, n=96, seeds=seeds, gamma=3e-3, beta=0.015, imax=imax)
+        expected = []
+        for m in grid["m_list"]:
+            for s in grid["s_list"]:
+                for T in grid["T_list"]:
+                    vals = []
+                    for seed in seeds:
+                        A, b, _ = SynthSpec(family="gaussian", m=m, n=96, s=s,
+                                            coherence=0.8, dynamic_D=1.0,
+                                            seed=seed).build()
+                        p = Problem(A=A, b=b, gamma=3e-3)
+                        cfg = SolverConfig(beta=0.015, T=T, imax=imax)
+                        x_hat = run_admm(p, cfg, np.zeros(p.n),
+                                         record=False)[0].x
+                        rep = run_hafam(p, cfg, np.zeros(p.n))
+                        vals.append(iacc(x_hat, rep.x_phase1))
+                    expected.append((m, s, T, float(np.mean(vals)), 3, 0))
+        assert [(c.m, c.s, c.T, c.mean_iacc, c.n_ok, c.n_failed)
+                for c in out.cells] == expected
+        assert out.failures == []
+
+    def _fail_with(self, monkeypatch, name, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(studies, name, fail)
+        return finite_identification_study(
+            [24], [2], [5, 30], n=96, seeds=[0, 1], gamma=3e-3, beta=0.015)
+
+    def test_failed_standalone_fails_every_window(self, monkeypatch):
+        out = self._fail_with(monkeypatch, "run_admm", NonConvergence("cap"))
+        assert [(c.T, c.n_ok, c.n_failed) for c in out.cells] == \
+            [(5, 0, 2), (30, 0, 2)]
+        assert np.isnan(out.cells[0].mean_iacc)
+        assert out.failures == [(24, 2, T, seed, "cap")
+                                for T in (5, 30) for seed in (0, 1)]
+
+    def test_failed_two_phase_solve_is_recorded(self, monkeypatch):
+        out = self._fail_with(monkeypatch, "run_hafam", NonConvergence("ssn"))
+        assert [c.n_failed for c in out.cells] == [2, 2]
+        assert [f[4] for f in out.failures] == ["ssn"] * 4
+
+    def test_other_errors_propagate(self, monkeypatch):
+        with pytest.raises(ValueError, match="bug"):
+            self._fail_with(monkeypatch, "run_hafam", ValueError("bug"))
+
+
+class TestNoisyTauStudy:
+    def test_shared_phase_one_matches_from_scratch_solves(self):
+        base = dict(family="gaussian", m=32, n=96, s=3, coherence=0.5,
+                    dynamic_D=1.0, noise_sigma=0.05)
+        taus = [0.0, 0.05, 0.1]
+        runs = noisy_tau_study(SynthSpec(**base), taus, [0, 1], gamma=1e-3,
+                               beta=0.05)
+        expected = []
+        for seed in (0, 1):
+            A, b, xstar = SynthSpec(**base, seed=seed).build()
+            p = Problem(A=A, b=b, gamma=1e-3)
+            for tau in taus:
+                rep = run_hafam(p, SolverConfig(beta=0.05, T=5),
+                                np.zeros(p.n), tau_rule=AbsoluteTau(tau))
+                expected.append((tau, seed, rerr(rep.x_final, xstar)))
+        assert [(r.tau, r.seed, r.rerr) for r in runs] == expected
+
+
+class TestProfileTimes:
+    def test_solver_failure_scores_inf(self):
+        def fails(p, x0):
+            raise NonConvergence("cap")
+
+        problems = [(None, None)] * 2
+        t = profile_times(problems, [("ok", lambda p, x0: x0),
+                                     ("fails", fails)])
+        assert np.all(np.isfinite(t[:, 0])) and np.all(np.isinf(t[:, 1]))
+
+    def test_other_errors_propagate(self):
+        def buggy(p, x0):
+            raise ValueError("bug")
+
+        with pytest.raises(ValueError, match="bug"):
+            profile_times([(None, None)], [("buggy", buggy)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ratiopt.admm import AdmmState, run_admm
 from ratiopt.exceptions import EmptySupportAfterShrink, IndexOutOfRange
 from ratiopt.hafam import (
     AbsoluteTau,
@@ -10,7 +11,6 @@ from ratiopt.hafam import (
     embed,
     restrict,
     run_hafam,
-    support_stable,
 )
 from ratiopt.model import Problem, SolverConfig, Support, objective
 
@@ -22,6 +22,24 @@ def make_problem(seed=0, m=24, n=80, s=4, gamma=1e-2):
     idx = rng.choice(n, s, replace=False)
     x_true[idx] = rng.standard_normal(s) + np.sign(rng.standard_normal(s))
     return Problem(A=A, b=A @ x_true, gamma=gamma), x_true
+
+
+def support_stable(history, T):
+    """The transition rule on a support history: the streak a run would
+    carry after these iterates, read back through the stop rule (imax = k
+    makes the run stop at once, as "imax" when the window is not stable)."""
+    streak, prev = 0, None
+    for s in history:
+        streak = streak + 1 if s == prev else 1
+        prev = s
+    k = len(history)
+    p = Problem(A=np.eye(2), b=np.ones(2), gamma=1.0)
+    st = AdmmState(x=np.zeros(2), y=np.zeros(2), z=np.zeros(2), k=k,
+                   support=history[-1].to_array(), streak=streak)
+    out, tr = run_admm(p, SolverConfig(beta=1.0, imax=k), st,
+                       support_window=T)
+    assert out is st and tr.stop_reason in ("support_stable", "imax")
+    return tr.stop_reason == "support_stable"
 
 
 class TestSupportStable:
@@ -117,6 +135,18 @@ class TestRunHafam:
         pruned = run_hafam(p, cfg, np.zeros(p.n),
                            tau_rule=AbsoluteTau(small * 1.0001))
         assert len(pruned.support) < len(base.support) or len(base.support) == 1
+
+    def test_resume_from_smaller_window(self):
+        p, _ = make_problem(9)
+        cfg = SolverConfig(beta=0.1, T=8)
+        ref = run_hafam(p, cfg, np.zeros(p.n))
+        early = run_hafam(p, SolverConfig(beta=0.1, T=2), np.zeros(p.n))
+        assert early.tran_it < ref.tran_it
+        rep = run_hafam(p, cfg, early.phase1)
+        assert rep.tran_it == ref.tran_it and rep.total_it == ref.total_it
+        assert np.array_equal(rep.x_phase1, ref.x_phase1)
+        assert np.array_equal(rep.x_final, ref.x_final)
+        assert len(rep.phase1_trace.relerr) == ref.tran_it - early.tran_it
 
     def test_determinism(self):
         p, _ = make_problem(8)

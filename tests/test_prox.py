@@ -221,6 +221,24 @@ class TestProxEdgeCases:
                                            atol=0.0)
 
 
+class TestTiedAnchorsAgainstOracle:
+    """Anchors with ties and zeros (entries rounded to halves), where the
+    brute-force oracle's bounded quasi-Newton solves once stepped outside
+    their bounds."""
+
+    def test_tied_and_zero_anchors(self):
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            n = int(rng.integers(1, 5))
+            q = np.round(2.0 * rng.standard_normal(n)) / 2.0 \
+                * 10.0 ** rng.uniform(-2, 2)
+            rho = float(10.0 ** rng.uniform(-3, 3))
+            cone = Cone.NONNEG if trial % 2 else Cone.FREE
+            res = prox(q, rho, cone)
+            assert res.value <= oracle_value(
+                q, rho, nonneg=(cone is Cone.NONNEG)) + 1e-8
+
+
 class TestEigOracleEquivalence:
     """Large-n agreement with the companion-eigenvalue pass.
 
