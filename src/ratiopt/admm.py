@@ -6,7 +6,14 @@ One step:
     y^{k+1} = argmin_y Phi(y) + (beta/2)||y - x^{k+1} - z^k/beta||^2
     z^{k+1} = z^k + beta (x^{k+1} - y^{k+1})
 
-stopping on the relative change of x or on a caller-supplied support
+For the least-squares fit the y-update is a ridge solve with one cached
+Cholesky factor.  On a wide A it runs in dual form (the matrix-inversion
+lemma), y = v - A^T lam with (beta I + A A^T) lam = A v - b: two products
+with A, and a forward error at roundoff level without refinement.  A
+recorded step evaluates A x - b once for the objective and the subgradient
+distance.
+
+A run stops on the relative change of x or on a caller-supplied support
 stability window (the two-phase solver's transition rule).  The iterates do
 not depend on the window, so a run is resumable: pass the returned
 AdmmState in place of x0 and the run continues from (x, y, z, k) and stops
@@ -38,39 +45,34 @@ from .prox import ProxQuery, prox_l1_over_l2, soft_threshold
 class LeastSquaresYSolver:
     """Cached solver for (A^T A + beta I) y = A^T b + beta v.
 
-    Uses the m x m system (beta I + A A^T) when the matrix is wide.
+    A wide matrix factors the m x m system (beta I + A A^T) and solves in
+    dual form, y = v - A^T lam with (beta I + A A^T) lam = A v - b: two
+    products with A per solve.  A tall one factors (A^T A + beta I) and
+    solves with no product with A.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, beta: float):
         if not beta > 0 or not np.isfinite(A).all():
             raise FactorizationFailure("beta must be positive and A finite")
         self.A = A
+        self.b = b
         self.beta = float(beta)
-        self.atb = A.T @ b
         m, n = A.shape
         self.wide = m < n
         try:
             if self.wide:
                 self.factor = scipy.linalg.cho_factor(beta * np.eye(m) + A @ A.T)
             else:
+                self.atb = A.T @ b
                 self.factor = scipy.linalg.cho_factor(A.T @ A + beta * np.eye(n))
         except scipy.linalg.LinAlgError as exc:
             raise FactorizationFailure(str(exc)) from exc
 
-    def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
-        if self.wide:
-            return (rhs - self.A.T @ scipy.linalg.cho_solve(
-                self.factor, self.A @ rhs)) / self.beta
-        return scipy.linalg.cho_solve(self.factor, rhs)
-
     def solve(self, v: np.ndarray) -> np.ndarray:
-        rhs = self.atb + self.beta * v
-        y = self._solve_once(rhs)
-        # one step of iterative refinement: the wide-path Woodbury solve
-        # amplifies roundoff by 1/beta, which the downstream stationarity
-        # telemetry would otherwise see
-        res = rhs - (self.A.T @ (self.A @ y) + self.beta * y)
-        return y + self._solve_once(res)
+        if self.wide:
+            lam = scipy.linalg.cho_solve(self.factor, self.A @ v - self.b)
+            return v - self.A.T @ lam
+        return scipy.linalg.cho_solve(self.factor, self.atb + self.beta * v)
 
 
 def y_update_residual_norm(p: Problem, beta: float, v, inner_tol: float = 1e-9,
@@ -215,16 +217,17 @@ def _run_loop(p, cfg, x0, x_step, support_window=None, record=True,
             trace.y_residual.append(y_res)
             trace.kkt_upper_bound.append(bound_coef * y_res)
             trace.support.append(supp)
+            res = p.A @ x_new - p.b
             if ratio_model:
-                trace.objective.append(objective(p, x_new))
+                trace.objective.append(objective(p, x_new, res))
                 gap = np.linalg.norm(fidelity_grad(p, y_new) - z_new)
                 trace.grad_gap.append(float(gap))
                 if np.any(x_new):
-                    trace.subgrad_distance.append(subgradient_distance(p, x_new))
+                    trace.subgrad_distance.append(
+                        subgradient_distance(p, x_new, res))
                 else:
                     trace.subgrad_distance.append(np.nan)
             else:
-                res = p.A @ x_new - p.b
                 trace.objective.append(
                     p.gamma * np.abs(x_new).sum() + 0.5 * float(res @ res))
                 trace.grad_gap.append(np.nan)

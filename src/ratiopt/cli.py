@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .admm import run_admm, run_admm_l1_baseline
-from .exceptions import RatioptError
+from .exceptions import RatioptError, SingularResidual
 from .expkit.generate import SynthSpec
 from .expkit.metrics import rerr, tmse
 from .expkit.profiles import performance_profile
@@ -35,7 +35,8 @@ from .expkit.realdata import (DEFAULT_GAMMA_GRID, build_dataset,
 from .expkit.rng import make_rng, standard_normal
 from .expkit.studies import finite_identification_study, profile_times
 from .hafam import AbsoluteTau, FractionOfL1, run_hafam
-from .model import Cone, Fidelity, Problem, SolverConfig, kkt_residual
+from .model import (Cone, Fidelity, Problem, SolverConfig, kkt_residual,
+                    nondegeneracy_check, subgradient_distance)
 
 
 class ConfigError(Exception):
@@ -233,6 +234,24 @@ def _run_solver(p: Problem, cfg: dict):
     raise ConfigError(f"unknown solver '{solver}'")
 
 
+def _certificate(p: Problem, x):
+    """(kkt_residual, subgradient_distance, nondegeneracy margin) at x.
+
+    The residual is nan and the others None where they are undefined: at
+    x = 0, or where a residual-norm fit has Ax = b.  The margin is also None
+    unless x is stationary to 1e-6, the tolerance nondegeneracy_check uses.
+    """
+    if not np.any(x):
+        return float("nan"), None, None
+    try:
+        kktr = kkt_residual(p, x)
+        dist = subgradient_distance(p, x)
+        margin = nondegeneracy_check(p, x).margin if kktr <= 1e-6 else None
+    except SingularResidual:
+        return float("nan"), None, None
+    return kktr, dist, margin
+
+
 def cmd_solve(args) -> int:
     cfg = resolve_config(args, dict(solver="hafam", init="zero"))
     for key in ("family", "gamma", "beta"):
@@ -244,7 +263,7 @@ def cmd_solve(args) -> int:
     p, xstar = _build_synthetic(cfg)
     x, iters, result, converged = _run_solver(p, cfg)
     nnz = int(np.count_nonzero(x))
-    kktr = kkt_residual(p, x) if nnz else float("nan")
+    kktr, subgrad, margin = _certificate(p, x)
     rec = rerr(x, xstar)
     report_path = os.path.join(out, "report.json")
     series_path = os.path.join(out, "series.csv")
@@ -264,6 +283,7 @@ def cmd_solve(args) -> int:
     _write_json(report_path, {
         "manifest": manifest.to_dict(),
         "rerr": rec, "kkt_residual": kktr, "nnz": nnz,
+        "subgradient_distance": subgrad, "nondegeneracy_margin": margin,
         "iterations": iters, "converged": converged,
         "tran_it": getattr(result, "tran_it", None),
     })

@@ -191,17 +191,32 @@ class SolverConfig:
             raise ValueError("tau must be nonnegative")
 
 
-def fidelity_value(p: Problem, x: np.ndarray) -> float:
-    res = p.A @ x - p.b
+def fidelity_value(p: Problem, res: np.ndarray) -> float:
+    """Phi from the residual res = A x - b."""
     if p.fidelity is Fidelity.LEAST_SQUARES:
         return 0.5 * float(res @ res)
     return float(np.linalg.norm(res))
 
 
-def objective(p: Problem, x) -> float:
-    """Full objective gamma*ratio(x) + Phi(x); raises on cone violations."""
+def objective(p: Problem, x, res=None) -> float:
+    """Full objective gamma*ratio(x) + Phi(x); raises on cone violations.
+
+    res, when given, is the residual A x - b the caller already holds.
+    """
     x = p.check_point(x)
-    return p.gamma * ratio(x) + fidelity_value(p, x)
+    if res is None:
+        res = p.A @ x - p.b
+    return p.gamma * ratio(x) + fidelity_value(p, res)
+
+
+def _residual_grad(p: Problem, res: np.ndarray) -> np.ndarray:
+    """Gradient of Phi from the residual res = A x - b."""
+    if p.fidelity is Fidelity.LEAST_SQUARES:
+        return p.A.T @ res
+    nrm = np.linalg.norm(res)
+    if nrm == 0.0:
+        raise SingularResidual("residual-norm gradient undefined at Ax = b")
+    return p.A.T @ (res / nrm)
 
 
 def fidelity_grad(p: Problem, x) -> np.ndarray:
@@ -209,13 +224,7 @@ def fidelity_grad(p: Problem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != p.n:
         raise DimensionMismatch(f"x has length {x.shape[0]}, expected {p.n}")
-    res = p.A @ x - p.b
-    if p.fidelity is Fidelity.LEAST_SQUARES:
-        return p.A.T @ res
-    nrm = np.linalg.norm(res)
-    if nrm == 0.0:
-        raise SingularResidual("residual-norm gradient undefined at Ax = b")
-    return p.A.T @ (res / nrm)
+    return _residual_grad(p, p.A @ x - p.b)
 
 
 def lipschitz_estimate(p: Problem, seed: int = 0, tol: float = 1e-6,
@@ -265,12 +274,13 @@ def kkt_residual(p: Problem, x) -> float:
     return float(np.linalg.norm(res))
 
 
-def subgradient_distance(p: Problem, x) -> float:
+def subgradient_distance(p: Problem, x, res=None) -> float:
     """Distance from 0 to the subdifferential of the full objective at x.
 
     On the support the subdifferential is a singleton; off the support the
     ratio term contributes the interval [-gamma/r, gamma/r] per coordinate
     (free cone), or (-inf, gamma/r] under the nonnegativity constraint.
+    res, when given, is the residual A x - b the caller already holds.
     """
     x = np.asarray(x, dtype=float).ravel()
     if not np.any(x):
@@ -280,7 +290,8 @@ def subgradient_distance(p: Problem, x) -> float:
     mask[idx] = True
     a = float(np.abs(x).sum())
     r = float(np.linalg.norm(x))
-    grad = fidelity_grad(p, x)
+    grad = (fidelity_grad(p, x) if res is None
+            else _residual_grad(p, res))
     thr = p.gamma / r
     if p.cone is Cone.FREE:
         on = p.gamma * (np.sign(x[idx]) / r - (a / r**3) * x[idx]) + grad[idx]

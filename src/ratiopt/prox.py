@@ -63,7 +63,11 @@ class ProxResult:
 
 
 def _polish(a, r, rho, p_slice):
-    """Damped Newton on the (a, r) system; returns (a, r, converged)."""
+    """Damped Newton on the (a, r) system; returns (a, r, converged).
+
+    The terms are scaled by w = rho/c and u = 1/(r c) rather than formed
+    from rho^2 and c^2, which overflow once rho*max|q|^2 passes about 1e154.
+    """
     P = p_slice.sum()
     S2 = float(p_slice @ p_slice)
     k = p_slice.size
@@ -76,8 +80,9 @@ def _polish(a, r, rho, p_slice):
         c = rho - a / r**3
         if c == 0.0:
             return None
-        f1 = (rho * P - k / r) / c - a
-        f2 = (rho * rho * S2 - 2.0 * rho * P / r + k / r**2) / c**2 - r * r
+        w, u = rho / c, 1.0 / (r * c)
+        f1 = w * P - k * u - a
+        f2 = w * w * S2 - 2.0 * w * P * u + k * u * u - r * r
         return np.array([f1 / (1.0 + a), f2 / (1.0 + r * r)])
 
     f = residuals(a, r)
@@ -87,17 +92,17 @@ def _polish(a, r, rho, p_slice):
         if np.max(np.abs(f)) <= _POLISH_TOL:
             return a, r, True
         c = rho - a / r**3
+        w, u = rho / c, 1.0 / (r * c)
         dc_da = -1.0 / r**3
         dc_dr = 3.0 * a / r**4
-        g1 = rho * P - k / r
-        g2 = rho * rho * S2 - 2.0 * rho * P / r + k / r**2
+        g1 = (w * P - k * u) / c            # (rho P - k/r) / c^2
+        g2 = w * w * S2 - 2.0 * w * P * u + k * u * u   # (...) / c^2
         # Jacobian of the raw residuals, rows rescaled like the residuals;
         # the scale factors are treated as constants within one step
-        j11 = -g1 / c**2 * dc_da - 1.0
-        j12 = (k / r**2) / c - g1 / c**2 * dc_dr
-        j21 = -2.0 * g2 / c**3 * dc_da
-        j22 = (2.0 * rho * P / r**2 - 2.0 * k / r**3) / c**2 \
-            - 2.0 * g2 / c**3 * dc_dr - 2.0 * r
+        j11 = -g1 * dc_da - 1.0
+        j12 = k * u / r - g1 * dc_dr
+        j21 = -2.0 * g2 * (dc_da / c)
+        j22 = 2.0 * u * (w * P - k * u) / r - 2.0 * g2 * (dc_dr / c) - 2.0 * r
         J = np.array([[j11, j12], [j21, j22]])
         J[0] /= (1.0 + a)
         J[1] /= (1.0 + r * r)
@@ -181,9 +186,14 @@ def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
     else:
         mags = np.abs(q)
         signs = np.where(q < 0.0, -1.0, 1.0)
-    order = np.argsort(-mags, kind="stable")
+    order = np.argsort(-mags)
     p = mags[order]
     kmax = int(np.count_nonzero(p > 0.0))
+    pos = p[:kmax]
+    if np.any(pos[1:] == pos[:-1]):
+        # only tied positive anchors make the order ambiguous; the support
+        # takes the lower index first
+        order = np.argsort(-mags, kind="stable")
     qsq = float(q @ q)
     zero_value = 1.0 + 0.5 * rho * qsq
     examined = 1
@@ -303,6 +313,14 @@ def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
             raise NonConvergence("prox candidate lost positivity after polish")
         x[idx] = signs[idx] * (scale * m)
     value = ratio(x) + 0.5 * rho * float((x - q) @ (x - q))
+    if tau is not None:
+        # x = q on the same prefix: at couplings near the overflow threshold
+        # the polished point differs from q by rounding alone, which rho
+        # magnifies in its value
+        q_value = ratio(q[idx]) + 0.5 * rho_u * off[k - 1]
+        if q_value < value:
+            x[idx] = q[idx]
+            value = q_value
     if zero_value < value:
         return ProxResult(np.zeros(n), zero_value, Support(()), examined)
     return ProxResult(x, value, Support.from_vector(x), examined)

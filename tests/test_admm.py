@@ -50,6 +50,27 @@ def sparse_instance(seed=4, m=20, n=60):
     return make_problem(A, A @ x_true, 1e-3)
 
 
+class _CountingMatrix(np.ndarray):
+    """View of a matrix that counts the products it takes part in; views of
+    it (such as its transpose) share the counter."""
+
+    @classmethod
+    def wrap(cls, A, counter):
+        view = A.view(cls)
+        view.counter = counter
+        return view
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.counter[0] += 1
+        plain = [np.asarray(x) if isinstance(x, _CountingMatrix) else x
+                 for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 class TestYUpdateLeastSquares:
     def test_scalar_system(self):
         p = make_problem([[1.0]], [1.0], 1.0)
@@ -76,6 +97,42 @@ class TestYUpdateLeastSquares:
     def test_invalid_beta(self):
         with pytest.raises(FactorizationFailure):
             LeastSquaresYSolver(np.eye(2), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("shape", [(128, 1024), (256, 64)])
+    @pytest.mark.parametrize("dist", [1e-3, 1.0, 1e3])
+    def test_forward_error_against_qr(self, shape, dist):
+        # the solve is the normal equation of the stacked least-squares
+        # problem min ||[A; sqrt(beta) I] y - [b; sqrt(beta) v]||, which
+        # lstsq solves without forming A^T A; v sits at distance dist from
+        # the solution at v = 0, and a small beta makes the wide case hard
+        rng = np.random.default_rng(3)
+        m, n = shape
+        A = rng.standard_normal(shape) / np.sqrt(m)
+        b = rng.standard_normal(m)
+        beta = 1e-3
+        root = np.sqrt(beta)
+        stack = np.vstack([A, root * np.eye(n)])
+
+        def reference(v):
+            rhs = np.concatenate([b, root * v])
+            return np.linalg.lstsq(stack, rhs, rcond=None)[0]
+
+        direction = rng.standard_normal(n)
+        v = reference(np.zeros(n)) + dist * direction / np.linalg.norm(direction)
+        y = LeastSquaresYSolver(A, b, beta).solve(v)
+        ref = reference(v)
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape, products", [((10, 40), 2), ((40, 10), 0)])
+    def test_products_with_A_per_solve(self, shape, products):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal(shape)
+        solver = LeastSquaresYSolver(A, rng.standard_normal(shape[0]), 0.3)
+        counter = [0]
+        solver.A = _CountingMatrix.wrap(A, counter)
+        y = solver.solve(rng.standard_normal(shape[1]))
+        assert counter[0] == products
+        assert type(y) is np.ndarray
 
 
 class TestYUpdateResidualNorm:
@@ -195,6 +252,23 @@ class TestRunAdmm:
                    len(tr.kkt_upper_bound), len(tr.support),
                    len(tr.grad_gap), len(tr.subgrad_distance)}
         assert len(lengths) == 1
+
+    def test_passes_over_A_per_recorded_step(self):
+        # two in the wide y-solve, one residual A x - b shared by the
+        # objective and the subgradient distance, one A^T r for the latter,
+        # two for the gradient gap at y; the second run adds exactly one
+        # recorded step with a nonzero x to the set-up both runs share
+        p = sparse_instance()
+        counter = [0]
+        object.__setattr__(p, "A", _CountingMatrix.wrap(p.A, counter))
+        counts = []
+        for imax in (1, 2):
+            counter[0] = 0
+            st, tr = run_admm(p, SolverConfig(beta=0.5, imax=imax, rel_tol=0.0),
+                              np.zeros(p.n))
+            counts.append(counter[0])
+        assert np.any(st.x) and len(tr.subgrad_distance) == 2
+        assert counts[1] - counts[0] == 6
 
 
 class TestL1Baseline:

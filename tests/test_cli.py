@@ -109,6 +109,25 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert not report["converged"]
 
+    @pytest.mark.parametrize("extra, code, kinds", [
+        ([], 0, (float, float)),                    # certified two-phase point
+        (["--solver", "admm", "--imax", "5"], 2, (float, type(None))),
+        (["--solver", "admm", "--imax", "0"], 2, (type(None), type(None))),
+    ])
+    def test_certificate_in_report(self, tmp_path, extra, code, kinds):
+        # the margin needs kkt_residual <= 1e-6; both are null at x = 0
+        out = tmp_path / "o"
+        assert main(["solve", *SOLVE_ARGS, *extra, "--out", str(out)]) == code
+        report = json.loads((out / "report.json").read_text())
+        dist, margin = (report["subgradient_distance"],
+                        report["nondegeneracy_margin"])
+        assert (type(dist), type(margin)) == kinds
+        if margin is not None:
+            assert report["kkt_residual"] <= 1e-6
+            assert dist <= 1e-6 and margin > 0.0
+        if dist is not None and margin is None:
+            assert report["kkt_residual"] > 1e-6
+
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery = 3\n")

@@ -1,5 +1,7 @@
 """Exact ratio proximal operator and shrinkage helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,34 @@ class TestProxEdgeCases:
                 assert res.value == pytest.approx(base.value, rel=1e-12)
                 np.testing.assert_allclose(res.x / scale, base.x, rtol=1e-9,
                                            atol=0.0)
+
+    @pytest.mark.parametrize("cone", [Cone.FREE, Cone.NONNEG])
+    @pytest.mark.parametrize("q, rho", [
+        (np.array([3.0, 2.0, 1.0, 0.5]) * 1e150, 1.0),
+        (np.array([3.0, 2.0, 1.0, 0.5]), 1e300),
+    ])
+    def test_huge_coupling(self, q, rho, cone):
+        # rho*max|q|^2 near 1e301: the minimizer differs from q by less than
+        # the rounding of q, so nothing may overflow and the value is ratio(q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = prox(q, rho, cone)
+        assert res.value <= ratio(q) * (1.0 + 1e-12)
+        assert res.support.indices == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("cone", [Cone.FREE, Cone.NONNEG])
+    def test_tied_top_block_keeps_lowest_index(self, cone):
+        # at small rho the top entry alone wins; of a tied top block the
+        # support takes the lowest index, however a sort orders the ties
+        rng = np.random.default_rng(0)
+        long = rng.uniform(0.1, 1.0, 20)
+        long[[2, 3, 16]] = 2.0
+        for q, first in (([1.0, 2.0, 0.5, 2.0, 2.0], 1), (long, 2)):
+            q = np.asarray(q)
+            res = prox(q, 0.01, cone)
+            assert res.support.indices == (first,)
+            assert res.x[first] == 2.0
+            assert res.value == pytest.approx(1.0 + 0.005 * (q @ q - 4.0))
 
 
 class TestTiedAnchorsAgainstOracle:
