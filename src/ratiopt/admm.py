@@ -9,9 +9,13 @@ One step:
 For the least-squares fit the y-update is a ridge solve with one cached
 Cholesky factor.  On a wide A it runs in dual form (the matrix-inversion
 lemma), y = v - A^T lam with (beta I + A A^T) lam = A v - b: two products
-with A, and a forward error at roundoff level without refinement.  A
+with A, and a forward error at roundoff level without refinement.
+
+Per-iteration series are recorded only on request (record=True).  A
 recorded step evaluates A x - b once for the objective and the subgradient
-distance.
+distance, and the gradient gap adds two more passes over A; an unrecorded
+step makes only the y-solve's products with A, and its trace carries the
+stop reason alone.  The iterates do not depend on record.
 
 A run stops on the relative change of x or on a caller-supplied support
 stability window (the two-phase solver's transition rule).  The iterates do
@@ -132,7 +136,8 @@ class AdmmState:
 
 @dataclass
 class AdmmTrace:
-    """Per-iteration records of one call (append-only, equal lengths)."""
+    """Per-iteration records of one call (append-only, equal lengths, and
+    empty unless the call recorded) and its stop reason."""
 
     relerr: list = field(default_factory=list)
     y_residual: list = field(default_factory=list)
@@ -189,8 +194,7 @@ def _l1_x_step(p: Problem, cfg: SolverConfig):
     return step
 
 
-def _run_loop(p, cfg, x0, x_step, support_window=None, record=True,
-              ratio_model=True):
+def _run_loop(p, cfg, x0, x_step, support_window, record, ratio_model):
     if isinstance(x0, AdmmState):
         st = x0
     else:
@@ -241,7 +245,7 @@ def _run_loop(p, cfg, x0, x_step, support_window=None, record=True,
 
 
 def run_admm(p: Problem, cfg: SolverConfig, x0, support_window=None,
-             record=True):
+             record=False):
     """Iterate until RelErr < rel_tol or until cfg.imax total iterations.
 
     With support_window = T the loop also stops as soon as the support is
@@ -249,14 +253,17 @@ def run_admm(p: Problem, cfg: SolverConfig, x0, support_window=None,
     checked before the RelErr stop.  x0 is either a start point, with
     y0 = z0 = x0, or an AdmmState to resume; a state that already meets a
     stop rule comes back unchanged.  Returns (state, trace), where the
-    trace covers only the iterations this call ran.
+    trace covers only the iterations this call ran: its per-iteration
+    series are filled only with record=True, which costs a Lipschitz
+    estimate per call and four passes over A per step, and leaves the
+    iterates unchanged.
     """
     x_step = _ratio_x_step(p, cfg)
     return _run_loop(p, cfg, x0, x_step, support_window=support_window,
                      record=record, ratio_model=True)
 
 
-def run_admm_l1_baseline(p: Problem, cfg: SolverConfig, x0, record=True):
+def run_admm_l1_baseline(p: Problem, cfg: SolverConfig, x0, record=False):
     """Same splitting with the soft-threshold x-update (lasso comparator)."""
     x_step = _l1_x_step(p, cfg)
     return _run_loop(p, cfg, x0, x_step, support_window=None, record=record,

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -162,9 +163,23 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None: strict JSON has no
+    NaN or Infinity, so null stands for a value that is undefined or
+    unbounded."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=str)
+        json.dump(_strict(payload), fh, indent=2, default=str,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -211,16 +226,17 @@ def _solver_config(cfg: dict) -> SolverConfig:
                         rel_tol=cfg.get("rel_tol", 1e-8), seed=cfg["seed"])
 
 
-def _run_solver(p: Problem, cfg: dict):
-    """Returns (x, iterations, trace, converged)."""
+def _run_solver(p: Problem, cfg: dict, record=False):
+    """Returns (x, iterations, trace, converged); the trace holds
+    per-iteration series only with record=True."""
     scfg = _solver_config(cfg)
     x0 = _initial_point(cfg, p.n)
     solver = cfg.get("solver", "hafam")
     if solver == "admm":
-        st, tr = run_admm(p, scfg, x0)
+        st, tr = run_admm(p, scfg, x0, record=record)
         return st.x, st.k, tr, tr.stop_reason != "imax"
     if solver == "admm-l1":
-        st, tr = run_admm_l1_baseline(p, scfg, x0)
+        st, tr = run_admm_l1_baseline(p, scfg, x0, record=record)
         return st.x, st.k, tr, tr.stop_reason != "imax"
     if solver == "hafam":
         # an explicit positive tau beats the mass-fraction rule
@@ -228,7 +244,7 @@ def _run_solver(p: Problem, cfg: dict):
             tau_rule = FractionOfL1(cfg["tau_frac"])
         else:
             tau_rule = AbsoluteTau(cfg.get("tau", 0.0))
-        rep = run_hafam(p, scfg, x0, tau_rule=tau_rule)
+        rep = run_hafam(p, scfg, x0, tau_rule=tau_rule, record=record)
         converged = not rep.phase2_skipped and not rep.phase2_trace.stalled
         return rep.x_final, rep.total_it, rep, converged
     raise ConfigError(f"unknown solver '{solver}'")
@@ -261,7 +277,7 @@ def cmd_solve(args) -> int:
                            version=__version__, started=_now())
     out = _outdir(args, "solve")
     p, xstar = _build_synthetic(cfg)
-    x, iters, result, converged = _run_solver(p, cfg)
+    x, iters, result, converged = _run_solver(p, cfg, record=True)
     nnz = int(np.count_nonzero(x))
     kktr, subgrad, margin = _certificate(p, x)
     rec = rerr(x, xstar)
@@ -333,7 +349,7 @@ def _profile_solvers(cfg: dict):
     scfg = _solver_config(cfg)
 
     def admm_fn(p, x0):
-        st, tr = run_admm(p, scfg, x0, record=False)
+        st, tr = run_admm(p, scfg, x0)
         if tr.stop_reason == "imax":
             raise RatioptError("iteration cap")
         return st.x

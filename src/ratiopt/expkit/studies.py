@@ -55,8 +55,7 @@ def _identify_instance(spec: SynthSpec, T_list, gamma: float, beta: float,
                 continue
             phase1[T] = rep.x_phase1
             state = rep.phase1
-        x_hat = run_admm(p, SolverConfig(beta=beta, imax=imax), state,
-                         record=False)[0].x
+        x_hat = run_admm(p, SolverConfig(beta=beta, imax=imax), state)[0].x
     except RatioptError as exc:
         return {T: str(exc) for T in T_list}
     return {T: x if isinstance(x, str) else iacc(x_hat, x)

@@ -87,13 +87,16 @@ class HafamReport:
         return self.tran_it + newton
 
 
-def run_hafam(p: Problem, cfg: SolverConfig, x0, tau_rule=None) -> HafamReport:
+def run_hafam(p: Problem, cfg: SolverConfig, x0, tau_rule=None,
+              record=False) -> HafamReport:
     """Full two-phase run from a start point or a phase-one AdmmState;
     degrades to the phase-one output if the support never stabilizes
-    within the iteration cap."""
+    within the iteration cap.  record is passed to phase one, whose trace
+    holds per-iteration series only when it is set; the iterates, and so
+    the report's points, do not depend on it."""
     if tau_rule is None:
         tau_rule = AbsoluteTau(cfg.tau)
-    state, tr1 = run_admm(p, cfg, x0, support_window=cfg.T)
+    state, tr1 = run_admm(p, cfg, x0, support_window=cfg.T, record=record)
     if tr1.stop_reason == "imax":
         return HafamReport(state.x, state, Support.from_vector(state.x),
                            phase1_trace=tr1, phase2_trace=None)

@@ -44,6 +44,10 @@ def ratio(x) -> float:
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         return 1.0
+    if not 1e-150 < nrm < 1e150:
+        # x @ x under- or overflows here; the ratio is scale-invariant
+        x = x / np.abs(x).max()
+        nrm = np.linalg.norm(x)
     return float(np.abs(x).sum() / nrm)
 
 

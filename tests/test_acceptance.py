@@ -84,7 +84,7 @@ def benchmark_runs():
                             np.zeros(p.n))
             two_phase[T] = (rep, time.perf_counter() - tic)
         st, _ = run_admm(p, SolverConfig(beta=BETA, imax=2000),
-                         two_phase[max(T_GRID)][0].phase1, record=False)
+                         two_phase[max(T_GRID)][0].phase1)
         runs.append(dict(p=p, xstar=xstar, admm=st, two_phase=two_phase))
     return runs
 
@@ -138,8 +138,7 @@ def test_03_exact_y_solve_invariants():
             y_prev = st.y
             # one step: the cap ends the call, and rel_tol only decides
             # when a run stops, never the iterates
-            st, _ = run_admm(p, replace(cfg, imax=st.k + 1, rel_tol=0.0), st,
-                             record=False)
+            st, _ = run_admm(p, replace(cfg, imax=st.k + 1, rel_tol=0.0), st)
             gap = np.linalg.norm(fidelity_grad(p, st.y) - st.z)
             worst_gap = max(worst_gap,
                             gap / (1e-9 * (1.0 + np.linalg.norm(st.z))))
@@ -331,7 +330,7 @@ def test_10_profiles_and_held_out_regression(tmp_path):
         problems.append((p, np.zeros(p.n)))
     cfg = SolverConfig(beta=0.05, imax=20_000)
     solvers = [
-        ("admm", lambda p, x0: run_admm(p, cfg, x0, record=False)[0].x),
+        ("admm", lambda p, x0: run_admm(p, cfg, x0)[0].x),
         ("hafam", lambda p, x0: run_hafam(p, cfg, x0).x_final),
     ]
     times = profile_times(problems, solvers)

@@ -36,8 +36,7 @@ def y_update_least_squares(p, beta, v):
 
 def step(p, cfg, st):
     """Exactly one ADMM step from st; rel_tol only decides when to stop."""
-    nxt, tr = run_admm(p, replace(cfg, imax=st.k + 1, rel_tol=0.0), st,
-                       record=False)
+    nxt, tr = run_admm(p, replace(cfg, imax=st.k + 1, rel_tol=0.0), st)
     assert nxt.k == st.k + 1 and tr.stop_reason == "imax"
     return nxt
 
@@ -230,7 +229,8 @@ class TestRunAdmm:
         x_true = np.zeros(60)
         x_true[[3, 17, 40]] = [1.0, -2.0, 1.5]
         p = make_problem(A, A @ x_true, 1e-3)
-        st, tr = run_admm(p, SolverConfig(beta=0.5), np.zeros(60))
+        st, tr = run_admm(p, SolverConfig(beta=0.5), np.zeros(60),
+                          record=True)
         ys = np.asarray(tr.y_residual)
         k = max(1, ys.size // 10)
         assert ys[-k:].mean() < ys[:k].mean()
@@ -240,24 +240,26 @@ class TestRunAdmm:
         A = rng.standard_normal((10, 30))
         p = make_problem(A, rng.standard_normal(10), 1e-2)
         cfg = SolverConfig(beta=0.5, imax=50)
-        st1, tr1 = run_admm(p, cfg, np.zeros(30))
-        st2, tr2 = run_admm(p, cfg, np.zeros(30))
+        st1, tr1 = run_admm(p, cfg, np.zeros(30), record=True)
+        st2, tr2 = run_admm(p, cfg, np.zeros(30), record=True)
         assert np.array_equal(st1.x, st2.x)
         assert tr1.relerr == tr2.relerr
 
     def test_trace_lengths_equal(self):
         p = make_problem(np.eye(2), [5.0, 0.0], 1e-4)
-        _, tr = run_admm(p, SolverConfig(beta=2.5, imax=20), np.zeros(2))
+        _, tr = run_admm(p, SolverConfig(beta=2.5, imax=20), np.zeros(2),
+                         record=True)
         lengths = {len(tr.relerr), len(tr.y_residual), len(tr.objective),
                    len(tr.kkt_upper_bound), len(tr.support),
                    len(tr.grad_gap), len(tr.subgrad_distance)}
         assert len(lengths) == 1
 
-    def test_passes_over_A_per_recorded_step(self):
-        # two in the wide y-solve, one residual A x - b shared by the
-        # objective and the subgradient distance, one A^T r for the latter,
-        # two for the gradient gap at y; the second run adds exactly one
-        # recorded step with a nonzero x to the set-up both runs share
+    @staticmethod
+    def products_in_second_step(record):
+        """Products with A of the second step on the wide sparse instance,
+        the first one with a nonzero x: the second run adds exactly that
+        step to the set-up both runs share.  Returns (products, state,
+        trace) of the second run."""
         p = sparse_instance()
         counter = [0]
         object.__setattr__(p, "A", _CountingMatrix.wrap(p.A, counter))
@@ -265,10 +267,30 @@ class TestRunAdmm:
         for imax in (1, 2):
             counter[0] = 0
             st, tr = run_admm(p, SolverConfig(beta=0.5, imax=imax, rel_tol=0.0),
-                              np.zeros(p.n))
+                              np.zeros(p.n), record=record)
             counts.append(counter[0])
+        return counts[1] - counts[0], st, tr
+
+    def test_passes_over_A_per_recorded_step(self):
+        # two in the wide y-solve, one residual A x - b shared by the
+        # objective and the subgradient distance, one A^T r for the latter,
+        # two for the gradient gap at y
+        products, st, tr = self.products_in_second_step(record=True)
         assert np.any(st.x) and len(tr.subgrad_distance) == 2
-        assert counts[1] - counts[0] == 6
+        assert products == 6
+
+    def test_passes_over_A_per_unrecorded_step(self):
+        # only the two of the wide y-solve
+        products, st, tr = self.products_in_second_step(record=False)
+        assert np.any(st.x) and tr.subgrad_distance == []
+        assert products == 2 and tr.stop_reason == "imax"
+
+    def test_unrecorded_runs_call_no_telemetry(self, no_telemetry):
+        p = sparse_instance()
+        _, tr = run_admm(p, SolverConfig(beta=0.5), np.zeros(p.n))
+        assert tr.stop_reason == "relerr" and tr.relerr == []
+        _, tr = run_admm_l1_baseline(p, SolverConfig(beta=0.5), np.zeros(p.n))
+        assert tr.stop_reason and tr.objective == []
 
 
 class TestL1Baseline:
@@ -321,7 +343,8 @@ class TestResume:
     def test_resume_matches_uninterrupted(self, stop, window, imax, legs):
         p = sparse_instance()
         cfg = SolverConfig(beta=0.5, imax=imax)
-        ref, ref_tr = run_admm(p, cfg, np.zeros(p.n), support_window=window)
+        ref, ref_tr = run_admm(p, cfg, np.zeros(p.n), support_window=window,
+                               record=True)
         assert ref_tr.stop_reason == stop
         st = np.zeros(p.n)
         for leg_window, leg_imax in legs:
@@ -329,7 +352,7 @@ class TestResume:
                              support_window=leg_window)
         assert st.k < ref.k
         start = st.k
-        st, tr = run_admm(p, cfg, st, support_window=window)
+        st, tr = run_admm(p, cfg, st, support_window=window, record=True)
         assert tr.stop_reason == stop
         assert_same_state(st, ref)
         assert len(tr.relerr) == ref.k - start
@@ -353,7 +376,7 @@ class TestResume:
         p = sparse_instance()
         T = 3
         st, tr = run_admm(p, SolverConfig(beta=0.5), np.zeros(p.n),
-                          support_window=T)
+                          support_window=T, record=True)
         assert tr.stop_reason == "support_stable"
 
         def stable(k):

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from ratiopt import cli
@@ -17,6 +18,15 @@ from ratiopt.expkit.realdata import smoke_dataset_path
 
 SOLVE_ARGS = ["--family", "gaussian", "--m", "32", "--n", "96", "--s", "3",
               "--coherence", "0.8", "--gamma", "1e-3", "--beta", "0.05"]
+
+
+def strict_json(path):
+    """The file parsed as strict JSON: NaN and Infinity are errors."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def read_csv(path):
@@ -115,10 +125,10 @@ class TestSolveCommand:
         (["--solver", "admm", "--imax", "0"], 2, (type(None), type(None))),
     ])
     def test_certificate_in_report(self, tmp_path, extra, code, kinds):
-        # the margin needs kkt_residual <= 1e-6; both are null at x = 0
+        # the margin needs kkt_residual <= 1e-6; all three are null at x = 0
         out = tmp_path / "o"
         assert main(["solve", *SOLVE_ARGS, *extra, "--out", str(out)]) == code
-        report = json.loads((out / "report.json").read_text())
+        report = strict_json(out / "report.json")
         dist, margin = (report["subgradient_distance"],
                         report["nondegeneracy_margin"])
         assert (type(dist), type(margin)) == kinds
@@ -170,6 +180,17 @@ class TestSolveCommand:
         assert seed_of(tmp_path / "s") == 9
 
 
+class TestStrictJson:
+    def test_non_finite_floats_become_null(self, tmp_path):
+        path = tmp_path / "r.json"
+        cli._write_json(str(path), {
+            "nan": float("nan"), "inf": float("inf"), "ninf": -float("inf"),
+            "finite": 1.5, "nested": {"rows": [(1, float("nan"), "a")]}})
+        assert strict_json(path) == {
+            "nan": None, "inf": None, "ninf": None, "finite": 1.5,
+            "nested": {"rows": [[1, None, "a"]]}}
+
+
 class TestIdentifyCommand:
     def test_tiny_grid(self, tmp_path):
         out = tmp_path / "out"
@@ -217,6 +238,17 @@ class TestProfileCommand:
         _, _, rows = read_csv(out / "profile_curves.csv")
         assert all(float(pi) == 1.0 for _, _, pi in rows)
 
+    def test_solvers_timed_unrecorded(self, no_telemetry):
+        # the profile compares the bare algorithms: no solver pays for
+        # per-iteration telemetry
+        p, _ = cli._build_synthetic(dict(
+            family="gaussian", m=24, n=96, s=3, coherence=0.8, gamma=1e-3,
+            seed=0))
+        solvers = cli._profile_solvers(dict(beta=0.05, seed=0, imax=20000))
+        t = cli.profile_times([(p, np.zeros(p.n))], solvers)
+        assert [name for name, _ in solvers] == ["admm", "hafam"]
+        assert np.all(np.isfinite(t))
+
 
 class TestRealdataCommand:
     def test_table_rows(self, tmp_path):
@@ -228,6 +260,24 @@ class TestRealdataCommand:
         assert header[:2] == ["repetition", "solver"]
         assert [r[1] for r in rows] == ["admm", "admm-l1", "hafam"]
         assert all(float(r[3]) >= 0.0 for r in rows)
+
+    def test_solvers_run_unrecorded(self, tmp_path, monkeypatch,
+                                    no_telemetry):
+        # cpu_seconds times the bare algorithms: every solver returns a
+        # trace with no per-iteration series
+        traces = []
+        for name in ("run_admm", "run_admm_l1_baseline", "run_hafam"):
+            def spy(*args, solve=getattr(cli, name), **kwargs):
+                out = solve(*args, **kwargs)
+                traces.append(out[1] if isinstance(out, tuple)
+                              else out.phase1_trace)
+                return out
+
+            monkeypatch.setattr(cli, name, spy)
+        code = main(["realdata", "--data", str(smoke_dataset_path()),
+                     "--gamma", "1e-3", "--out", str(tmp_path / "o")])
+        assert code == 0 and len(traces) == 3
+        assert all(tr.stop_reason and tr.relerr == [] for tr in traces)
 
     def test_missing_data_exit_1(self, tmp_path):
         assert main(["realdata", "--out", str(tmp_path / "o")]) == 1

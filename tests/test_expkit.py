@@ -317,8 +317,7 @@ class TestIdentificationStudy:
                                             seed=seed).build()
                         p = Problem(A=A, b=b, gamma=3e-3)
                         cfg = SolverConfig(beta=0.015, T=T, imax=imax)
-                        x_hat = run_admm(p, cfg, np.zeros(p.n),
-                                         record=False)[0].x
+                        x_hat = run_admm(p, cfg, np.zeros(p.n))[0].x
                         rep = run_hafam(p, cfg, np.zeros(p.n))
                         vals.append(iacc(x_hat, rep.x_phase1))
                     expected.append((m, s, T, float(np.mean(vals)), 3, 0))

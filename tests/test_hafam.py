@@ -142,7 +142,7 @@ class TestRunHafam:
         ref = run_hafam(p, cfg, np.zeros(p.n))
         early = run_hafam(p, SolverConfig(beta=0.1, T=2), np.zeros(p.n))
         assert early.tran_it < ref.tran_it
-        rep = run_hafam(p, cfg, early.phase1)
+        rep = run_hafam(p, cfg, early.phase1, record=True)
         assert rep.tran_it == ref.tran_it and rep.total_it == ref.total_it
         assert np.array_equal(rep.x_phase1, ref.x_phase1)
         assert np.array_equal(rep.x_final, ref.x_final)
@@ -155,3 +155,24 @@ class TestRunHafam:
         r2 = run_hafam(p, cfg, np.zeros(p.n))
         assert np.array_equal(r1.x_final, r2.x_final)
         assert r1.tran_it == r2.tran_it and r1.total_it == r2.total_it
+
+    def test_recording_changes_no_iterate(self):
+        p, _ = make_problem(8)
+        cfg = SolverConfig(beta=0.1, T=5)
+        bare = run_hafam(p, cfg, np.zeros(p.n))
+        rec = run_hafam(p, cfg, np.zeros(p.n), record=True)
+        assert np.array_equal(bare.x_final, rec.x_final)
+        assert np.array_equal(bare.phase1.x, rec.phase1.x)
+        assert bare.tran_it == rec.tran_it
+        assert len(rec.phase1_trace.relerr) == rec.tran_it
+        tr = bare.phase1_trace
+        assert tr.stop_reason == rec.phase1_trace.stop_reason
+        assert tr.lipschitz is None
+        assert not (tr.relerr or tr.y_residual or tr.kkt_upper_bound
+                    or tr.objective or tr.support or tr.grad_gap
+                    or tr.subgrad_distance)
+
+    def test_default_calls_no_telemetry(self, no_telemetry):
+        p, _ = make_problem(8)
+        rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
+        assert not rep.phase2_skipped

@@ -45,6 +45,12 @@ class TestRatio:
     def test_equal_magnitudes(self):
         assert ratio([1.0, -1.0, 1.0]) == pytest.approx(np.sqrt(3))
 
+    @pytest.mark.parametrize("scale", [1.2854867033640505e-158, 1e200])
+    def test_extreme_scales(self, scale):
+        # x @ x underflows or overflows at these scales
+        assert ratio([scale]) == 1.0
+        assert ratio([scale, -scale, scale]) == pytest.approx(np.sqrt(3))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
     def test_lower_bound(self, entries):
