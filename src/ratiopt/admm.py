@@ -175,8 +175,7 @@ def _ratio_x_step(p: Problem, cfg: SolverConfig):
     rho = cfg.beta / p.gamma
 
     def step(q):
-        res = prox_l1_over_l2(ProxQuery(q, rho, p.cone))
-        return res.x, res.support.to_array()
+        return prox_l1_over_l2(ProxQuery(q, rho, p.cone)).x
 
     return step
 
@@ -186,10 +185,8 @@ def _l1_x_step(p: Problem, cfg: SolverConfig):
 
     def step(q):
         if p.cone is Cone.NONNEG:
-            x = np.maximum(q - level, 0.0)
-        else:
-            x = soft_threshold(q, level)
-        return x, np.flatnonzero(x)
+            return np.maximum(q - level, 0.0)
+        return soft_threshold(q, level)
 
     return step
 
@@ -211,7 +208,8 @@ def _run_loop(p, cfg, x0, x_step, support_window, record, ratio_model):
         bound_coef = L * L / beta + beta
     while not trace.stop_reason:
         x, y, z = st.x, st.y, st.z
-        x_new, supp = x_step(y - z / beta)
+        x_new = x_step(y - z / beta)
+        supp = np.flatnonzero(x_new)
         y_new = y_step(x_new + z / beta)
         z_new = z + beta * (x_new - y_new)
         y_res = float(np.linalg.norm(y - y_new))

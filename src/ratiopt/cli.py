@@ -6,8 +6,9 @@ Every output file embeds a RunManifest whose hash covers the command, the
 resolved configuration, the seed, and the toolkit version (timestamps are
 excluded), so identical manifests mean identical single-threaded results.
 
-Exit codes: 0 success, 1 usage/config/data error, 2 iteration-cap exit
-or a stalled Newton phase.
+Exit codes: 0 success, 1 usage/config/data error, 2 iteration-cap exit,
+or a Newton phase that stalled or hit its iteration cap above its gradient
+tolerance.
 """
 
 from __future__ import annotations
@@ -245,7 +246,9 @@ def _run_solver(p: Problem, cfg: dict, record=False):
         else:
             tau_rule = AbsoluteTau(cfg.get("tau", 0.0))
         rep = run_hafam(p, scfg, x0, tau_rule=tau_rule, record=record)
-        converged = not rep.phase2_skipped and not rep.phase2_trace.stalled
+        tr2 = rep.phase2_trace
+        converged = (tr2 is not None and not tr2.stalled
+                     and tr2.grad_norms[-1] <= scfg.newton.grad_tol)
         return rep.x_final, rep.total_it, rep, converged
     raise ConfigError(f"unknown solver '{solver}'")
 
@@ -311,9 +314,7 @@ def cmd_solve(args) -> int:
 # identify
 
 def cmd_identify(args) -> int:
-    cfg = resolve_config(args, dict(n=256, m_list=[32, 64], s_list=[2, 4, 8],
-                                    T_list=[5, 30], seeds=10, gamma=3e-3,
-                                    beta=0.015))
+    cfg = resolve_config(args, PRESETS["sec5b-identify"])
     if not (cfg["m_list"] and cfg["s_list"] and cfg["T_list"]):
         raise ConfigError("identification grid must be nonempty")
     manifest = RunManifest(command="identify", config=cfg, seed=cfg["seed"],
@@ -369,9 +370,7 @@ def _profile_solvers(cfg: dict):
 
 
 def cmd_profile(args) -> int:
-    cfg = resolve_config(args, dict(m=64, n=512, s_list=[4, 8], seeds=3,
-                                    dynamic_D=2.0, gamma=1e-4, beta=0.015,
-                                    T=5))
+    cfg = resolve_config(args, PRESETS["fig2-profiles"])
     manifest = RunManifest(command="profile", config=cfg, seed=cfg["seed"],
                            version=__version__, started=_now())
     out = _outdir(args, "profile")

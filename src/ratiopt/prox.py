@@ -12,9 +12,9 @@ solves one scalar equation.  Off-support optimality and m_k > 0 confine
 tau to the bracket [p_{k+1}, p_k), so the brackets of different prefixes
 are disjoint, and the equation is concave on each one.  A vectorized pass
 over all breakpoints keeps the few brackets that can hold a root;
-safeguarded Newton solves those, closed forms cover the top entry and the
-block tied with it, and a damped two-variable Newton iteration polishes
-the winner.  No eigenvalue problem is solved.
+safeguarded Newton solves those to about 4 ulps, closed forms cover the
+top entry and the block tied with it, and the winner's magnitudes are built
+from its root directly.  No eigenvalue problem is solved.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import numpy as np
 
 from .exceptions import NonConvergence, ZeroVector
 from .model import Cone, Support, ratio
-
-_POLISH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,67 +58,6 @@ class ProxResult:
     value: float
     support: Support
     candidates_examined: int
-
-
-def _polish(a, r, rho, p_slice):
-    """Damped Newton on the (a, r) system; returns (a, r, converged).
-
-    The terms are scaled by w = rho/c and u = 1/(r c) rather than formed
-    from rho^2 and c^2, which overflow once rho*max|q|^2 passes about 1e154.
-    """
-    P = p_slice.sum()
-    S2 = float(p_slice @ p_slice)
-    k = p_slice.size
-
-    def residuals(a, r):
-        if a <= 0 or r <= 0:
-            return None
-        # c = rho - a/r^3 may legitimately carry either sign: c < 0 is the
-        # weak-coupling branch where every rho*p_i - t is negative too
-        c = rho - a / r**3
-        if c == 0.0:
-            return None
-        w, u = rho / c, 1.0 / (r * c)
-        f1 = w * P - k * u - a
-        f2 = w * w * S2 - 2.0 * w * P * u + k * u * u - r * r
-        return np.array([f1 / (1.0 + a), f2 / (1.0 + r * r)])
-
-    f = residuals(a, r)
-    if f is None:
-        return a, r, False
-    for _ in range(60):
-        if np.max(np.abs(f)) <= _POLISH_TOL:
-            return a, r, True
-        c = rho - a / r**3
-        w, u = rho / c, 1.0 / (r * c)
-        dc_da = -1.0 / r**3
-        dc_dr = 3.0 * a / r**4
-        g1 = (w * P - k * u) / c            # (rho P - k/r) / c^2
-        g2 = w * w * S2 - 2.0 * w * P * u + k * u * u   # (...) / c^2
-        # Jacobian of the raw residuals, rows rescaled like the residuals;
-        # the scale factors are treated as constants within one step
-        j11 = -g1 * dc_da - 1.0
-        j12 = k * u / r - g1 * dc_dr
-        j21 = -2.0 * g2 * (dc_da / c)
-        j22 = 2.0 * u * (w * P - k * u) / r - 2.0 * g2 * (dc_dr / c) - 2.0 * r
-        J = np.array([[j11, j12], [j21, j22]])
-        J[0] /= (1.0 + a)
-        J[1] /= (1.0 + r * r)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            return a, r, False
-        scale = 1.0
-        for _ in range(30):
-            a_new, r_new = a + scale * step[0], r + scale * step[1]
-            f_new = residuals(a_new, r_new)
-            if f_new is not None and np.max(np.abs(f_new)) < np.max(np.abs(f)):
-                a, r, f = a_new, r_new, f_new
-                break
-            scale *= 0.5
-        else:
-            return a, r, np.max(np.abs(f)) <= _POLISH_TOL
-    return a, r, np.max(np.abs(f)) <= _POLISH_TOL
 
 
 def _bracketed_root(fn, lo, hi, f_lo, f_hi):
@@ -294,29 +231,20 @@ def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
     if tau is None:
         x[idx] = q[idx]
     else:
-        p_slice = p[:k]
         s = p[k - 1] - tau
         b = D2[k - 1] + s * (2.0 * D1[k - 1] + k * s)
         r_c = 1.0 / (rho_u * tau)
         a_c = (D1[k - 1] + k * s) / b**0.5 * r_c
-        a_c, r_c, converged = _polish(a_c, r_c, rho_u, p_slice)
-        if not converged:
-            # the bracketed root is already accurate; accept it if the
-            # scalar residual is small enough
-            c = rho_u - a_c / r_c**3
-            f1 = abs((rho_u * p_slice.sum() - k / r_c) / c - a_c) / (1.0 + a_c)
-            if not (c != 0 and f1 <= 1e-10):
-                raise NonConvergence("prox scalar system did not converge")
         c = rho_u - a_c / r_c**3
-        m = (rho_u * p_slice - 1.0 / r_c) / c
+        m = (rho_u * p[:k] - 1.0 / r_c) / c
         if np.any(m <= 0.0):
-            raise NonConvergence("prox candidate lost positivity after polish")
+            raise NonConvergence("prox candidate lost positivity")
         x[idx] = signs[idx] * (scale * m)
     value = ratio(x) + 0.5 * rho * float((x - q) @ (x - q))
     if tau is not None:
         # x = q on the same prefix: at couplings near the overflow threshold
-        # the polished point differs from q by rounding alone, which rho
-        # magnifies in its value
+        # the point built from tau differs from q by rounding alone, which
+        # rho magnifies in its value
         q_value = ratio(q[idx]) + 0.5 * rho_u * off[k - 1]
         if q_value < value:
             x[idx] = q[idx]

@@ -5,9 +5,9 @@ On every |q|-ordered prefix it solves the stationarity quartic
 t^2 (rho S2 - P t)^2 = rho^2 S2 - 2 rho P t + k t^2 in t = 1/||x|| through
 batched eigenvalues of 4x4 companion matrices, keeps the real positive
 roots whose magnitudes come out positive, and polishes the best one with
-the library's own (a, r) Newton step.  Unlike the brute-force oracle it
-scales to any n, so it checks the library at large n and extreme scales;
-it shares only _polish with the code under test.
+a damped Newton iteration on the (a, r) system.  Unlike the brute-force
+oracle it scales to any n, so it checks the library at large n and extreme
+scales; it shares no algorithm code with the code under test.
 """
 
 from __future__ import annotations
@@ -16,7 +16,70 @@ import numpy as np
 
 from ratiopt.exceptions import NonConvergence
 from ratiopt.model import Cone, Support, ratio
-from ratiopt.prox import ProxQuery, ProxResult, _polish
+from ratiopt.prox import ProxQuery, ProxResult
+
+_POLISH_TOL = 1e-12
+
+
+def _polish(a, r, rho, p_slice):
+    """Damped Newton on the (a, r) system; returns (a, r, converged).
+
+    The terms are scaled by w = rho/c and u = 1/(r c) rather than formed
+    from rho^2 and c^2, which overflow once rho*max|q|^2 passes about 1e154.
+    """
+    P = p_slice.sum()
+    S2 = float(p_slice @ p_slice)
+    k = p_slice.size
+
+    def residuals(a, r):
+        if a <= 0 or r <= 0:
+            return None
+        # c = rho - a/r^3 may legitimately carry either sign: c < 0 is the
+        # weak-coupling branch where every rho*p_i - t is negative too
+        c = rho - a / r**3
+        if c == 0.0:
+            return None
+        w, u = rho / c, 1.0 / (r * c)
+        f1 = w * P - k * u - a
+        f2 = w * w * S2 - 2.0 * w * P * u + k * u * u - r * r
+        return np.array([f1 / (1.0 + a), f2 / (1.0 + r * r)])
+
+    f = residuals(a, r)
+    if f is None:
+        return a, r, False
+    for _ in range(60):
+        if np.max(np.abs(f)) <= _POLISH_TOL:
+            return a, r, True
+        c = rho - a / r**3
+        w, u = rho / c, 1.0 / (r * c)
+        dc_da = -1.0 / r**3
+        dc_dr = 3.0 * a / r**4
+        g1 = (w * P - k * u) / c            # (rho P - k/r) / c^2
+        g2 = w * w * S2 - 2.0 * w * P * u + k * u * u   # (...) / c^2
+        # Jacobian of the raw residuals, rows rescaled like the residuals;
+        # the scale factors are treated as constants within one step
+        j11 = -g1 * dc_da - 1.0
+        j12 = k * u / r - g1 * dc_dr
+        j21 = -2.0 * g2 * (dc_da / c)
+        j22 = 2.0 * u * (w * P - k * u) / r - 2.0 * g2 * (dc_dr / c) - 2.0 * r
+        J = np.array([[j11, j12], [j21, j22]])
+        J[0] /= (1.0 + a)
+        J[1] /= (1.0 + r * r)
+        try:
+            step = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            return a, r, False
+        scale = 1.0
+        for _ in range(30):
+            a_new, r_new = a + scale * step[0], r + scale * step[1]
+            f_new = residuals(a_new, r_new)
+            if f_new is not None and np.max(np.abs(f_new)) < np.max(np.abs(f)):
+                a, r, f = a_new, r_new, f_new
+                break
+            scale *= 0.5
+        else:
+            return a, r, np.max(np.abs(f)) <= _POLISH_TOL
+    return a, r, np.max(np.abs(f)) <= _POLISH_TOL
 
 
 def _quartic_roots(b3, b2, b1, b0):

@@ -1,6 +1,7 @@
 """Command-line front end: config handling, subcommands, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from ratiopt.cli import (
     parse_config_file,
 )
 from ratiopt.expkit.realdata import smoke_dataset_path
+from ratiopt.model import NewtonConfig
 
 SOLVE_ARGS = ["--family", "gaussian", "--m", "32", "--n", "96", "--s", "3",
               "--coherence", "0.8", "--gamma", "1e-3", "--beta", "0.05"]
@@ -118,6 +120,25 @@ class TestSolveCommand:
         assert code == 2
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert not report["converged"]
+
+    def test_newton_cap_exit_2(self, tmp_path, monkeypatch):
+        # one Newton step leaves the gradient above grad_tol without a
+        # line-search stall: the cap is not convergence
+        solve = cli.run_hafam
+        reports = []
+
+        def capped(p, cfg, *args, **kwargs):
+            cfg = dataclasses.replace(cfg, newton=NewtonConfig(ssn_max=1))
+            reports.append(solve(p, cfg, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_hafam", capped)
+        code = main(["solve", *SOLVE_ARGS, "--out", str(tmp_path / "o")])
+        tr2 = reports[0].phase2_trace
+        assert not tr2.stalled and tr2.grad_norms[-1] > NewtonConfig.grad_tol
+        assert code == 2
+        report = strict_json(tmp_path / "o" / "report.json")
+        assert report["converged"] is False
 
     @pytest.mark.parametrize("extra, code, kinds", [
         ([], 0, (float, float)),                    # certified two-phase point

@@ -1,5 +1,6 @@
 """Exact ratio proximal operator and shrinkage helpers."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -98,6 +99,34 @@ class TestProxStructure:
             resid = (np.sign(res.x[on]) / r - (a / r**3) * res.x[on]
                      + rho * (res.x[on] - q[on]))
             assert np.linalg.norm(resid) <= 1e-10 * (1 + rho)
+        # large n, anchor scales 1e+-100 and couplings rho*max|q|^2 over
+        # 1e+-8, with ties and zeros: the residual scales like 1/s under
+        # (q, rho) -> (s q, rho / s^2), so it is measured against its terms
+        cases = itertools.product(
+            (1, 2, 7, 256, 2048), (1e-100, 1.0, 1e100),
+            (1e-8, 1e-4, 1e-2, 1.0, 3.0, 30.0, 1e4, 1e8),
+            (Cone.FREE, Cone.NONNEG))
+        for n, scale, coupling, cone in cases:
+            q = 0.05 * rng.standard_normal(n)
+            spikes = rng.choice(n, min(n, 12), replace=False)
+            q[spikes] += rng.choice([-1.0, 1.0], spikes.size) \
+                * (0.5 + rng.random(spikes.size))
+            q[rng.choice(n, n // 4, replace=False)] = 0.0
+            q = np.round(64.0 * q) / 64.0
+            if n > 1:
+                q[spikes[1]] = -q[spikes[0]]
+            q *= scale
+            rho = coupling / float(np.max(np.abs(q))) ** 2
+            res = prox(q, rho, cone)
+            on = res.support.to_array()
+            if on.size == 0:
+                continue
+            x = res.x[on]
+            a, r = np.abs(x).sum(), np.linalg.norm(x)
+            resid = (np.sign(x) / r - (a / r) * (x / r) / r
+                     + rho * (x - q[on]))
+            size = np.sqrt(on.size) / r + rho * np.linalg.norm(q[on])
+            assert np.linalg.norm(resid) <= 1e-12 * size
 
     def test_support_is_prefix_of_sorted_anchor(self):
         rng = np.random.default_rng(3)
