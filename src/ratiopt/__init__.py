@@ -6,9 +6,9 @@ switches to a semismooth Newton method once the support settles.
 """
 
 from .admm import AdmmState, run_admm, run_admm_l1_baseline
-from .hafam import AbsoluteTau, FractionOfL1, run_hafam
+from .hafam import run_hafam
 from .model import (Cone, Fidelity, NewtonConfig, Problem, SolverConfig,
-                    Support, fidelity_grad, kkt_residual, lipschitz_estimate,
+                    Support, certificate, fidelity_grad, lipschitz_estimate,
                     objective, ratio, relerr, subgradient_distance)
 from .prox import (ProxQuery, fraction_tau, hard_shrink_support,
                    prox_l1_over_l2, soft_threshold)
@@ -19,11 +19,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Cone", "Fidelity", "Problem", "Support", "SolverConfig", "NewtonConfig",
-    "ratio", "relerr", "objective", "fidelity_grad", "kkt_residual",
+    "ratio", "relerr", "objective", "fidelity_grad", "certificate",
     "subgradient_distance", "lipschitz_estimate",
     "ProxQuery", "prox_l1_over_l2", "hard_shrink_support", "soft_threshold",
     "fraction_tau",
     "AdmmState", "run_admm", "run_admm_l1_baseline",
     "ReducedProblem", "run_ssnewton",
-    "AbsoluteTau", "FractionOfL1", "run_hafam",
+    "run_hafam",
 ]

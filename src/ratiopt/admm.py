@@ -38,6 +38,7 @@ from .model import (
     Problem,
     SolverConfig,
     fidelity_grad,
+    fidelity_value,
     lipschitz_estimate,
     objective,
     relerr,
@@ -231,7 +232,7 @@ def _run_loop(p, cfg, x0, x_step, support_window, record, ratio_model):
                     trace.subgrad_distance.append(np.nan)
             else:
                 trace.objective.append(
-                    p.gamma * np.abs(x_new).sum() + 0.5 * float(res @ res))
+                    p.gamma * np.abs(x_new).sum() + fidelity_value(p, res))
                 trace.grad_gap.append(np.nan)
                 trace.subgrad_distance.append(np.nan)
         same = st.streak and np.array_equal(supp, st.support)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .admm import run_admm, run_admm_l1_baseline
-from .exceptions import RatioptError, SingularResidual
+from .exceptions import RatioptError, SingularResidual, ZeroVector
 from .expkit.generate import SynthSpec
 from .expkit.metrics import rerr, tmse
 from .expkit.profiles import performance_profile
@@ -36,9 +36,9 @@ from .expkit.realdata import (DEFAULT_GAMMA_GRID, build_dataset,
                               cross_validate_gamma, load_csv)
 from .expkit.rng import make_rng, standard_normal
 from .expkit.studies import finite_identification_study, profile_times
-from .hafam import AbsoluteTau, FractionOfL1, run_hafam
-from .model import (Cone, Fidelity, Problem, SolverConfig, kkt_residual,
-                    nondegeneracy_check, subgradient_distance)
+from .hafam import run_hafam
+from .model import (Certificate, Cone, Fidelity, Problem, SolverConfig,
+                    certificate)
 
 
 class ConfigError(Exception):
@@ -57,7 +57,6 @@ _KEY_TYPES = {
     "gamma": float, "beta": float, "tau": float, "tau_frac": float,
     "rel_tol": float, "split_ratio": float,
     "m_list": "int_list", "s_list": "int_list", "T_list": "int_list",
-    "tau_list": "float_list",
 }
 
 
@@ -66,8 +65,6 @@ def _coerce(key: str, raw: str):
     try:
         if kind == "int_list":
             return [int(v) for v in raw.split(",") if v.strip()]
-        if kind == "float_list":
-            return [float(v) for v in raw.split(",") if v.strip()]
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for key '{key}': {raw!r}") from exc
@@ -241,34 +238,13 @@ def _run_solver(p: Problem, cfg: dict, record=False):
         return st.x, st.k, tr, tr.stop_reason != "imax"
     if solver == "hafam":
         # an explicit positive tau beats the mass-fraction rule
-        if cfg.get("tau", 0.0) <= 0.0 and "tau_frac" in cfg:
-            tau_rule = FractionOfL1(cfg["tau_frac"])
-        else:
-            tau_rule = AbsoluteTau(cfg.get("tau", 0.0))
-        rep = run_hafam(p, scfg, x0, tau_rule=tau_rule, record=record)
+        tau_frac = cfg.get("tau_frac") if scfg.tau <= 0.0 else None
+        rep = run_hafam(p, scfg, x0, tau_frac=tau_frac, record=record)
         tr2 = rep.phase2_trace
         converged = (tr2 is not None and not tr2.stalled
                      and tr2.grad_norms[-1] <= scfg.newton.grad_tol)
         return rep.x_final, rep.total_it, rep, converged
     raise ConfigError(f"unknown solver '{solver}'")
-
-
-def _certificate(p: Problem, x):
-    """(kkt_residual, subgradient_distance, nondegeneracy margin) at x.
-
-    The residual is nan and the others None where they are undefined: at
-    x = 0, or where a residual-norm fit has Ax = b.  The margin is also None
-    unless x is stationary to 1e-6, the tolerance nondegeneracy_check uses.
-    """
-    if not np.any(x):
-        return float("nan"), None, None
-    try:
-        kktr = kkt_residual(p, x)
-        dist = subgradient_distance(p, x)
-        margin = nondegeneracy_check(p, x).margin if kktr <= 1e-6 else None
-    except SingularResidual:
-        return float("nan"), None, None
-    return kktr, dist, margin
 
 
 def cmd_solve(args) -> int:
@@ -282,7 +258,12 @@ def cmd_solve(args) -> int:
     p, xstar = _build_synthetic(cfg)
     x, iters, result, converged = _run_solver(p, cfg, record=True)
     nnz = int(np.count_nonzero(x))
-    kktr, subgrad, margin = _certificate(p, x)
+    try:
+        cert = certificate(p, x)
+    except (ZeroVector, SingularResidual):
+        # undefined at x = 0, or where a residual-norm fit has Ax = b
+        cert = Certificate(math.nan, math.nan, math.nan)
+    margin = cert.margin if cert.kkt_residual <= 1e-6 else None
     rec = rerr(x, xstar)
     report_path = os.path.join(out, "report.json")
     series_path = os.path.join(out, "series.csv")
@@ -301,12 +282,14 @@ def cmd_solve(args) -> int:
     manifest.finished = _now()
     _write_json(report_path, {
         "manifest": manifest.to_dict(),
-        "rerr": rec, "kkt_residual": kktr, "nnz": nnz,
-        "subgradient_distance": subgrad, "nondegeneracy_margin": margin,
+        "rerr": rec, "kkt_residual": cert.kkt_residual, "nnz": nnz,
+        "subgradient_distance": cert.subgradient_distance,
+        "nondegeneracy_margin": margin,
         "iterations": iters, "converged": converged,
         "tran_it": getattr(result, "tran_it", None),
     })
-    print(f"RErr={rec:.3e} KKT_R={kktr:.3e} nnz={nnz} iters={iters}")
+    print(f"RErr={rec:.3e} KKT_R={cert.kkt_residual:.3e} nnz={nnz} "
+          f"iters={iters}")
     return 0 if converged else 2
 
 
@@ -347,21 +330,19 @@ def cmd_identify(args) -> int:
 # profile
 
 def _profile_solvers(cfg: dict):
-    scfg = _solver_config(cfg)
+    """(name, fn) pairs for profile_times.  Each fn solves through
+    _run_solver from the start point of cfg's init, the x0 that cmd_profile
+    pairs with every problem, and raises when the run did not converge."""
 
-    def admm_fn(p, x0):
-        st, tr = run_admm(p, scfg, x0)
-        if tr.stop_reason == "imax":
-            raise RatioptError("iteration cap")
-        return st.x
+    def solver(name):
+        def fn(p, x0):
+            x, _, _, converged = _run_solver(p, dict(cfg, solver=name))
+            if not converged:
+                raise RatioptError(f"{name} did not converge")
+            return x
+        return fn
 
-    def hafam_fn(p, x0):
-        rep = run_hafam(p, scfg, x0)
-        if rep.phase2_skipped:
-            raise RatioptError("phase one never stabilized")
-        return rep.x_final
-
-    available = {"admm": admm_fn, "hafam": hafam_fn}
+    available = {name: solver(name) for name in ("admm", "hafam")}
     names = cfg.get("solver", "admm,hafam").split(",")
     try:
         return [(name, available[name]) for name in names]
@@ -383,7 +364,7 @@ def cmd_profile(args) -> int:
                                  seed=cfg["seed"] + i)
                 A, b, _ = spec.build()
                 p = Problem(A=A, b=b, gamma=cfg["gamma"])
-                problems.append((p, np.zeros(p.n)))
+                problems.append((p, _initial_point(cfg, p.n)))
     solvers = _profile_solvers(cfg)
     t = profile_times(problems, solvers)
     taus, pi = performance_profile(t)
@@ -471,11 +452,10 @@ def _add_common(sub):
         if key in ("preset", "seed"):
             continue
         flag = f"--{key.replace('_', '-')}"
-        if kind in ("int_list", "float_list"):
-            elem = int if kind == "int_list" else float
+        if kind == "int_list":
             sub.add_argument(flag, dest=key,
-                             type=lambda raw, e=elem:
-                             [e(v) for v in raw.split(",") if v.strip()])
+                             type=lambda raw:
+                             [int(v) for v in raw.split(",") if v.strip()])
         else:
             sub.add_argument(flag, dest=key, type=kind)
 

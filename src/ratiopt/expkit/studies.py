@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..admm import run_admm
 from ..exceptions import RatioptError
-from ..hafam import AbsoluteTau, run_hafam
+from ..hafam import run_hafam
 from ..model import Cone, Fidelity, Problem, SolverConfig
 from .generate import SynthSpec
 from .metrics import iacc, rerr
@@ -129,7 +129,7 @@ def noisy_tau_study(spec_base: SynthSpec, tau_list, seeds, *, gamma: float,
         for tau in tau_list:
             # phase one does not depend on tau: after the first tau it
             # resumes from its stopped state and only Newton runs again
-            rep = run_hafam(p, cfg, state, tau_rule=AbsoluteTau(float(tau)))
+            rep = run_hafam(p, replace(cfg, tau=float(tau)), state)
             state = rep.phase1
             shrunk = np.zeros(p.n)
             shrunk[rep.support.to_array()] = 1.0

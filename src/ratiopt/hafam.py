@@ -25,20 +25,6 @@ from .prox import fraction_tau, hard_shrink_support
 from .ssnewton import ReducedProblem, run_ssnewton
 
 
-@dataclass(frozen=True)
-class AbsoluteTau:
-    """Fixed shrink level (tau = 0 for noiseless data)."""
-
-    tau: float
-
-
-@dataclass(frozen=True)
-class FractionOfL1:
-    """Shrink level chosen so the removed entries hold < frac of the L1 mass."""
-
-    frac: float
-
-
 def embed(u, support: Support, n: int) -> np.ndarray:
     """Scatter u onto the support inside an n-vector of exact zeros."""
     u = np.asarray(u, dtype=float).ravel()
@@ -87,23 +73,23 @@ class HafamReport:
         return self.tran_it + newton
 
 
-def run_hafam(p: Problem, cfg: SolverConfig, x0, tau_rule=None,
+def run_hafam(p: Problem, cfg: SolverConfig, x0, tau_frac=None,
               record=False) -> HafamReport:
     """Full two-phase run from a start point or a phase-one AdmmState;
     degrades to the phase-one output if the support never stabilizes
-    within the iteration cap.  record is passed to phase one, whose trace
-    holds per-iteration series only when it is set; the iterates, and so
-    the report's points, do not depend on it."""
-    if tau_rule is None:
-        tau_rule = AbsoluteTau(cfg.tau)
+    within the iteration cap.  The shrink level is cfg.tau, or with
+    tau_frac the largest level whose removed entries hold less than that
+    fraction of the phase-one L1 mass.  record is passed to phase one,
+    whose trace holds per-iteration series only when it is set; the
+    iterates, and so the report's points, do not depend on it."""
     state, tr1 = run_admm(p, cfg, x0, support_window=cfg.T, record=record)
     if tr1.stop_reason == "imax":
         return HafamReport(state.x, state, Support.from_vector(state.x),
                            phase1_trace=tr1, phase2_trace=None)
-    if isinstance(tau_rule, FractionOfL1):
-        tau = fraction_tau(state.x, tau_rule.frac)
+    if tau_frac is None:
+        tau = float(cfg.tau)
     else:
-        tau = float(tau_rule.tau)
+        tau = fraction_tau(state.x, tau_frac)
     xhat, supp = hard_shrink_support(state.x, tau)
     if len(supp) == 0:
         raise EmptySupportAfterShrink(

@@ -1,11 +1,13 @@
-"""Problem data model, objective, gradients, and stationarity checks.
+"""Problem data model, objective, gradients, and the stationarity certificate.
 
 The objective is
 
     F(x) = gamma * ||x||_1 / ||x||_2 + Phi(x),    x in the cone,
 
 with the convention ||0||_1 / ||0||_2 = 1, and Phi either the least-squares
-fit 0.5*||Ax - b||^2 or the residual norm ||Ax - b||.
+fit 0.5*||Ax - b||^2 or the residual norm ||Ax - b||.  certificate reads
+a point's stationarity residual on its support, its subgradient distance in
+full space and its nondegeneracy margin off one fidelity gradient.
 """
 
 from __future__ import annotations
@@ -265,21 +267,26 @@ def lipschitz_estimate(p: Problem, seed: int = 0, tol: float = 1e-6,
     raise NonConvergence("power iteration did not converge")
 
 
-def kkt_residual(p: Problem, x) -> float:
-    """Norm of the stationarity residual restricted to supp(x)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.any(x):
-        raise ZeroVector("KKT residual undefined at x = 0")
-    idx = np.flatnonzero(x)
-    a = float(np.abs(x).sum())
-    r = float(np.linalg.norm(x))
-    grad = fidelity_grad(p, x)
-    res = p.gamma * (np.sign(x[idx]) / r - (a / r**3) * x[idx]) + grad[idx]
-    return float(np.linalg.norm(res))
+@dataclass(frozen=True)
+class Certificate:
+    """Stationarity certificate of a nonzero point x.
+
+    kkt_residual is the norm of the stationarity residual on supp(x).
+    subgradient_distance is the distance from 0 to the subdifferential of
+    the full objective: the same residual plus the excess of the fidelity
+    gradient over the ratio term's off-support interval.  margin is the
+    distance to the boundary of the strict off-support inequality, positive
+    iff x is nondegenerate (0 in ri dF(x) once x is stationary), and inf at
+    full support.
+    """
+
+    kkt_residual: float
+    subgradient_distance: float
+    margin: float
 
 
-def subgradient_distance(p: Problem, x, res=None) -> float:
-    """Distance from 0 to the subdifferential of the full objective at x.
+def certificate(p: Problem, x, res=None) -> Certificate:
+    """Certificate of x from one evaluation of the fidelity gradient.
 
     On the support the subdifferential is a singleton; off the support the
     ratio term contributes the interval [-gamma/r, gamma/r] per coordinate
@@ -288,7 +295,7 @@ def subgradient_distance(p: Problem, x, res=None) -> float:
     """
     x = np.asarray(x, dtype=float).ravel()
     if not np.any(x):
-        raise ZeroVector("subgradient distance undefined at x = 0")
+        raise ZeroVector("certificate undefined at x = 0")
     idx = np.flatnonzero(x)
     mask = np.zeros(x.shape[0], dtype=bool)
     mask[idx] = True
@@ -296,45 +303,20 @@ def subgradient_distance(p: Problem, x, res=None) -> float:
     r = float(np.linalg.norm(x))
     grad = (fidelity_grad(p, x) if res is None
             else _residual_grad(p, res))
+    grad_off = grad[~mask]
     thr = p.gamma / r
     if p.cone is Cone.FREE:
         on = p.gamma * (np.sign(x[idx]) / r - (a / r**3) * x[idx]) + grad[idx]
-        off = np.maximum(np.abs(grad[~mask]) - thr, 0.0)
+        off = np.maximum(np.abs(grad_off) - thr, 0.0)
+        margin = thr - float(np.max(np.abs(grad_off), initial=-np.inf))
     else:
         on = p.gamma * (1.0 / r - (a / r**3) * x[idx]) + grad[idx]
-        off = np.maximum(-(grad[~mask] + thr), 0.0)
-    return float(np.sqrt(np.dot(on, on) + np.dot(off, off)))
+        off = np.maximum(-(grad_off + thr), 0.0)
+        margin = float(np.min(grad_off + thr, initial=np.inf))
+    dist = float(np.sqrt(np.dot(on, on) + np.dot(off, off)))
+    return Certificate(float(np.linalg.norm(on)), dist, margin)
 
 
-@dataclass(frozen=True)
-class Nondegeneracy:
-    """Outcome of the strict off-support optimality check."""
-
-    nondegenerate: bool
-    margin: float
-
-
-def nondegeneracy_check(p: Problem, x, stationarity_tol: float = 1e-6) -> Nondegeneracy:
-    """Strict off-support condition at an (approximately) stationary point.
-
-    Free cone: ||grad_off||_inf < gamma/r.  Nonnegative cone:
-    grad_off + gamma/r > 0 componentwise.  The margin is the distance to
-    the boundary of the strict inequality (positive iff nondegenerate).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.any(x):
-        raise ZeroVector("nondegeneracy undefined at x = 0")
-    if kkt_residual(p, x) > stationarity_tol:
-        raise ValueError("x is not approximately stationary at the given tolerance")
-    supp = Support.from_vector(x)
-    comp = supp.complement(x.shape[0])
-    r = float(np.linalg.norm(x))
-    thr = p.gamma / r
-    if comp.size == 0:
-        return Nondegeneracy(True, np.inf)
-    grad_off = fidelity_grad(p, x)[comp]
-    if p.cone is Cone.FREE:
-        margin = thr - float(np.max(np.abs(grad_off)))
-    else:
-        margin = float(np.min(grad_off + thr))
-    return Nondegeneracy(margin > 0.0, margin)
+def subgradient_distance(p: Problem, x, res=None) -> float:
+    """certificate(p, x, res).subgradient_distance."""
+    return certificate(p, x, res).subgradient_distance

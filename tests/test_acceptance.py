@@ -29,8 +29,8 @@ from ratiopt.model import (
     Problem,
     SolverConfig,
     Support,
+    certificate,
     fidelity_grad,
-    kkt_residual,
     lipschitz_estimate,
     ratio,
     subgradient_distance,
@@ -98,7 +98,7 @@ def test_01_two_phase_benchmark(benchmark_runs):
             rep, seconds = run["two_phase"][T]
             max_seconds = max(max_seconds, seconds)
             relerr_truth = rerr(rep.x_final, run["xstar"])
-            kkt = kkt_residual(run["p"], rep.x_final)
+            kkt = certificate(run["p"], rep.x_final).kkt_residual
             agree = iacc(rep.x_phase1, run["admm"].x)
             if relerr_truth <= 1e-6 and kkt <= 1e-9 and agree == 1.0:
                 good += 1

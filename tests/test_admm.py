@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from counting_matrix import CountingMatrix
 from ratiopt.admm import (
     AdmmState,
     LeastSquaresYSolver,
@@ -19,8 +20,9 @@ from ratiopt.model import (
     Fidelity,
     Problem,
     SolverConfig,
+    certificate,
     fidelity_grad,
-    kkt_residual,
+    fidelity_value,
     relerr,
 )
 
@@ -47,27 +49,6 @@ def sparse_instance(seed=4, m=20, n=60):
     x_true = np.zeros(n)
     x_true[[3, 17, 40]] = [1.0, -2.0, 1.5]
     return make_problem(A, A @ x_true, 1e-3)
-
-
-class _CountingMatrix(np.ndarray):
-    """View of a matrix that counts the products it takes part in; views of
-    it (such as its transpose) share the counter."""
-
-    @classmethod
-    def wrap(cls, A, counter):
-        view = A.view(cls)
-        view.counter = counter
-        return view
-
-    def __array_finalize__(self, obj):
-        self.counter = getattr(obj, "counter", None)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            self.counter[0] += 1
-        plain = [np.asarray(x) if isinstance(x, _CountingMatrix) else x
-                 for x in inputs]
-        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 class TestYUpdateLeastSquares:
@@ -128,7 +109,7 @@ class TestYUpdateLeastSquares:
         A = rng.standard_normal(shape)
         solver = LeastSquaresYSolver(A, rng.standard_normal(shape[0]), 0.3)
         counter = [0]
-        solver.A = _CountingMatrix.wrap(A, counter)
+        solver.A = CountingMatrix.wrap(A, counter)
         y = solver.solve(rng.standard_normal(shape[1]))
         assert counter[0] == products
         assert type(y) is np.ndarray
@@ -210,7 +191,7 @@ class TestRunAdmm:
         p = make_problem(np.eye(2), [5.0, 0.0], 1e-4)
         st, tr = run_admm(p, SolverConfig(beta=2.5), np.zeros(2))
         assert tr.stop_reason == "relerr"
-        assert kkt_residual(p, st.x) <= 1e-6
+        assert certificate(p, st.x).kkt_residual <= 1e-6
 
     def test_iteration_cap(self):
         p = make_problem(np.eye(2), [5.0, 0.0], 1e-4)
@@ -262,7 +243,7 @@ class TestRunAdmm:
         trace) of the second run."""
         p = sparse_instance()
         counter = [0]
-        object.__setattr__(p, "A", _CountingMatrix.wrap(p.A, counter))
+        object.__setattr__(p, "A", CountingMatrix.wrap(p.A, counter))
         counts = []
         for imax in (1, 2):
             counter[0] = 0
@@ -321,6 +302,20 @@ class TestL1Baseline:
         p = make_problem(np.eye(2), [-1.0, 1.0], 0.1, cone=Cone.NONNEG)
         st, _ = run_admm_l1_baseline(p, SolverConfig(beta=1.0), np.zeros(2))
         assert np.all(st.x >= 0.0)
+
+    @pytest.mark.parametrize("fidelity", list(Fidelity))
+    def test_recorded_objective_uses_fidelity(self, fidelity):
+        # the recorded lasso objective is gamma*||x||_1 + Phi(x) for the
+        # problem's own fidelity, not always the least-squares fit
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((64, 16))
+        p = make_problem(A, rng.standard_normal(64), 1e-3, fidelity=fidelity)
+        st, tr = run_admm_l1_baseline(p, SolverConfig(beta=1.0, imax=5),
+                                      np.zeros(16), record=True)
+        assert len(tr.objective) == 5
+        expected = (p.gamma * np.abs(st.x).sum()
+                    + fidelity_value(p, p.A @ st.x - p.b))
+        assert tr.objective[-1] == expected
 
 
 def assert_same_state(a, b):

@@ -31,6 +31,21 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+def cap_newton(monkeypatch):
+    """Make the CLI's two-phase runs stop Newton after one step; returns the
+    list their reports are appended to."""
+    solve = cli.run_hafam
+    reports = []
+
+    def capped(p, cfg, *args, **kwargs):
+        cfg = dataclasses.replace(cfg, newton=NewtonConfig(ssn_max=1))
+        reports.append(solve(p, cfg, *args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_hafam", capped)
+    return reports
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -124,15 +139,7 @@ class TestSolveCommand:
     def test_newton_cap_exit_2(self, tmp_path, monkeypatch):
         # one Newton step leaves the gradient above grad_tol without a
         # line-search stall: the cap is not convergence
-        solve = cli.run_hafam
-        reports = []
-
-        def capped(p, cfg, *args, **kwargs):
-            cfg = dataclasses.replace(cfg, newton=NewtonConfig(ssn_max=1))
-            reports.append(solve(p, cfg, *args, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(cli, "run_hafam", capped)
+        reports = cap_newton(monkeypatch)
         code = main(["solve", *SOLVE_ARGS, "--out", str(tmp_path / "o")])
         tr2 = reports[0].phase2_trace
         assert not tr2.stalled and tr2.grad_norms[-1] > NewtonConfig.grad_tol
@@ -159,13 +166,16 @@ class TestSolveCommand:
         if dist is not None and margin is None:
             assert report["kkt_residual"] > 1e-6
 
-    def test_malformed_config_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, key", [("mystery = 3", "mystery"),
+                                           ("tau_list = 0.1", "tau_list")],
+                             ids=["mystery", "tau_list"])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("mystery = 3\n")
+        cfg.write_text(line + "\n")
         code = main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "mystery" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_missing_required_key_exit_1(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "o")]) == 1
@@ -269,6 +279,18 @@ class TestProfileCommand:
         t = cli.profile_times([(p, np.zeros(p.n))], solvers)
         assert [name for name, _ in solvers] == ["admm", "hafam"]
         assert np.all(np.isfinite(t))
+
+    def test_newton_cap_counts_as_failure(self, monkeypatch):
+        # a Newton phase that ends at ssn_max above grad_tol did not
+        # converge, so the profile gives the two-phase solver no time
+        reports = cap_newton(monkeypatch)
+        p, _ = cli._build_synthetic(dict(
+            family="gaussian", m=24, n=96, s=3, coherence=0.8, gamma=1e-3,
+            seed=0))
+        solvers = cli._profile_solvers(dict(beta=0.05, seed=0, imax=20000))
+        t = cli.profile_times([(p, np.zeros(p.n))], solvers)
+        assert np.isfinite(t[0, 0]) and np.isinf(t[0, 1])
+        assert reports[0].phase2_trace.grad_norms[-1] > NewtonConfig.grad_tol
 
 
 class TestRealdataCommand:

@@ -31,7 +31,7 @@ from ratiopt.expkit import studies
 from ratiopt.expkit.rng import make_rng, standard_normal
 from ratiopt.expkit.studies import (finite_identification_study,
                                     noisy_tau_study, profile_times)
-from ratiopt.hafam import AbsoluteTau, run_hafam
+from ratiopt.hafam import run_hafam
 from ratiopt.model import Problem, SolverConfig
 
 
@@ -363,8 +363,8 @@ class TestNoisyTauStudy:
             A, b, xstar = SynthSpec(**base, seed=seed).build()
             p = Problem(A=A, b=b, gamma=1e-3)
             for tau in taus:
-                rep = run_hafam(p, SolverConfig(beta=0.05, T=5),
-                                np.zeros(p.n), tau_rule=AbsoluteTau(tau))
+                rep = run_hafam(p, SolverConfig(beta=0.05, T=5, tau=tau),
+                                np.zeros(p.n))
                 expected.append((tau, seed, rerr(rep.x_final, xstar)))
         assert [(r.tau, r.seed, r.rerr) for r in runs] == expected
 

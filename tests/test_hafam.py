@@ -1,17 +1,13 @@
 """Two-phase solver orchestration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ratiopt.admm import AdmmState, run_admm
 from ratiopt.exceptions import EmptySupportAfterShrink, IndexOutOfRange
-from ratiopt.hafam import (
-    AbsoluteTau,
-    FractionOfL1,
-    embed,
-    restrict,
-    run_hafam,
-)
+from ratiopt.hafam import embed, restrict, run_hafam
 from ratiopt.model import Problem, SolverConfig, Support, objective
 
 
@@ -122,18 +118,18 @@ class TestRunHafam:
     def test_fraction_tau_rule(self):
         p, _ = make_problem(6)
         cfg = SolverConfig(beta=0.1, T=5)
-        rep = run_hafam(p, cfg, np.zeros(p.n), tau_rule=FractionOfL1(0.01))
+        rep = run_hafam(p, cfg, np.zeros(p.n), tau_frac=0.01)
         assert rep.tau >= 0.0
         assert len(rep.support) >= 1
 
     def test_absolute_tau_rule_prunes(self):
         p, _ = make_problem(7)
         cfg = SolverConfig(beta=0.1, T=5)
-        base = run_hafam(p, cfg, np.zeros(p.n), tau_rule=AbsoluteTau(0.0))
+        base = run_hafam(p, replace(cfg, tau=0.0), np.zeros(p.n))
         small = np.min(np.abs(restrict(base.x_phase1,
                                        Support.from_vector(base.x_phase1))))
-        pruned = run_hafam(p, cfg, np.zeros(p.n),
-                           tau_rule=AbsoluteTau(small * 1.0001))
+        pruned = run_hafam(p, replace(cfg, tau=small * 1.0001),
+                           np.zeros(p.n))
         assert len(pruned.support) < len(base.support) or len(base.support) == 1
 
     def test_resume_from_smaller_window(self):

@@ -1,10 +1,13 @@
-"""Data model, objective, gradients, and stationarity checks."""
+"""Data model, objective, gradients, and the stationarity certificate."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counting_matrix import CountingMatrix
 from ratiopt.exceptions import (
     ConeViolation,
     DimensionMismatch,
@@ -18,10 +21,9 @@ from ratiopt.model import (
     Problem,
     SolverConfig,
     Support,
+    certificate,
     fidelity_grad,
-    kkt_residual,
     lipschitz_estimate,
-    nondegeneracy_check,
     objective,
     ratio,
     subgradient_distance,
@@ -195,12 +197,13 @@ class TestLipschitzEstimate:
 class TestKktResidual:
     def test_one_sparse_cancellation(self):
         p = make_problem(I2, [1.0, 0.0], 0.1)
-        assert kkt_residual(p, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+        assert certificate(p, [1.0, 0.0]).kkt_residual == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_zero_vector_raises(self):
         p = make_problem(I2, [1.0, 0.0], 0.1)
         with pytest.raises(ZeroVector):
-            kkt_residual(p, [0.0, 0.0])
+            certificate(p, [0.0, 0.0])
 
     def test_matches_reduced_gradient_norm(self):
         # the support-restricted residual is the gradient of the reduced
@@ -222,8 +225,8 @@ class TestKktResidual:
         u0 = x[idx]
         fd = np.array([(f_on_support(u0 + h * e) - f_on_support(u0 - h * e))
                        / (2 * h) for e in np.eye(3)])
-        assert kkt_residual(p, x) == pytest.approx(np.linalg.norm(fd),
-                                                   rel=1e-6, abs=1e-6)
+        assert certificate(p, x).kkt_residual == pytest.approx(
+            np.linalg.norm(fd), rel=1e-6, abs=1e-6)
 
 
 class TestSubderivativeIdentity:
@@ -244,25 +247,20 @@ class TestSubderivativeIdentity:
 class TestNondegeneracy:
     def test_free_nondegenerate(self):
         p = make_problem(I2, [1.0, 0.0], 0.1)
-        out = nondegeneracy_check(p, [1.0, 0.0])
-        assert out.nondegenerate and out.margin == pytest.approx(0.1)
+        out = certificate(p, [1.0, 0.0])
+        assert out.margin > 0.0 and out.margin == pytest.approx(0.1)
 
     def test_free_boundary_degenerate(self):
         # off-support |grad Phi| equals gamma/r exactly
         p = make_problem(I2, [1.0, 0.1], 0.1)
-        out = nondegeneracy_check(p, [1.0, 0.0])
-        assert not out.nondegenerate
+        out = certificate(p, [1.0, 0.0])
+        assert not out.margin > 0.0
         assert out.margin == pytest.approx(0.0, abs=1e-15)
 
     def test_nonneg_case(self):
         p = make_problem(I2, [1.0, 0.0], 0.1, cone=Cone.NONNEG)
-        out = nondegeneracy_check(p, [1.0, 0.0])
-        assert out.nondegenerate and out.margin == pytest.approx(0.1)
-
-    def test_requires_stationarity(self):
-        p = make_problem(I2, [1.0, 0.0], 0.1)
-        with pytest.raises(ValueError):
-            nondegeneracy_check(p, [5.0, 0.0])
+        out = certificate(p, [1.0, 0.0])
+        assert out.margin > 0.0 and out.margin == pytest.approx(0.1)
 
 
 class TestSubgradientDistance:
@@ -272,9 +270,49 @@ class TestSubgradientDistance:
                                                                     abs=1e-12)
 
     def test_dominates_kkt_residual(self):
+        # every cone x fidelity x shape, at a small and a large gamma so that
+        # the off-support excess is both positive and zero, plus one
+        # full-support point; the excess alone separates the two residuals
         rng = np.random.default_rng(4)
-        A = rng.standard_normal((5, 8))
-        p = make_problem(A, rng.standard_normal(5), 0.5)
-        x = np.zeros(8)
-        x[[0, 3]] = [1.0, -2.0]
-        assert subgradient_distance(p, x) >= kkt_residual(p, x) - 1e-12
+        cases = list(itertools.product(Cone, Fidelity, [(5, 8), (8, 5)],
+                                       [0.5, 50.0], [2]))
+        cases.append((Cone.FREE, Fidelity.LEAST_SQUARES, (8, 5), 0.5, 5))
+        excess_seen = set()
+        for cone, fidelity, (m, n), gamma, k in cases:
+            A = rng.standard_normal((m, n))
+            p = make_problem(A, rng.standard_normal(m), gamma, cone=cone,
+                             fidelity=fidelity)
+            x = np.zeros(n)
+            x[:k] = rng.uniform(0.5, 2.0, k)
+            if cone is Cone.FREE:
+                x[1] = -x[1]
+            grad_off = fidelity_grad(p, x)[k:]
+            thr = gamma / np.linalg.norm(x)
+            if cone is Cone.FREE:
+                excess = np.maximum(np.abs(grad_off) - thr, 0.0)
+            else:
+                excess = np.maximum(-(grad_off + thr), 0.0)
+            cert = certificate(p, x)
+            on, dist = cert.kkt_residual, cert.subgradient_distance
+            assert on <= dist
+            assert (on == dist) == (not excess.any())
+            assert not cert.margin > 0.0 or not excess.any()
+            if k == n:
+                assert cert.margin == np.inf
+            assert certificate(p, x, p.A @ x - p.b) == cert
+            assert subgradient_distance(p, x) == dist
+            excess_seen.add(bool(excess.any()))
+        assert excess_seen == {False, True}
+
+    def test_two_passes_over_A(self):
+        # one fidelity gradient: A x - b, then A^T applied to the residual
+        rng = np.random.default_rng(5)
+        for fidelity in Fidelity:
+            p = make_problem(rng.standard_normal((6, 9)),
+                             rng.standard_normal(6), 0.5, fidelity=fidelity)
+            counter = [0]
+            object.__setattr__(p, "A", CountingMatrix.wrap(p.A, counter))
+            x = np.zeros(9)
+            x[[1, 4]] = [1.0, -2.0]
+            certificate(p, x)
+            assert counter[0] == 2
