@@ -49,10 +49,6 @@ class EmptySupportAfterShrink(RatioptError):
     """Hard shrinkage removed every entry; tau is too large."""
 
 
-class IndexOutOfRange(RatioptError):
-    """Support index exceeds the ambient dimension."""
-
-
 class DegenerateColumn(RatioptError):
     """A data column is constant and cannot be standardized."""
 

@@ -132,7 +132,7 @@ def noisy_tau_study(spec_base: SynthSpec, tau_list, seeds, *, gamma: float,
             rep = run_hafam(p, replace(cfg, tau=float(tau)), state)
             state = rep.phase1
             shrunk = np.zeros(p.n)
-            shrunk[rep.support.to_array()] = 1.0
+            shrunk[rep.support] = 1.0
             truth_pattern = (xstar != 0).astype(float)
             runs.append(NoisyRun(tau=float(tau), seed=seed,
                                  rerr=rerr(rep.x_final, xstar),

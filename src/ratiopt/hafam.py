@@ -3,8 +3,9 @@
 Phase I runs the ratio-prox ADMM until the support set is unchanged over
 T+1 consecutive iterates.  The phase-one iterate is hard-shrunk, the
 problem is restricted to the surviving support, and the reduced problem is
-solved by the globalized semismooth Newton method; the result is embedded
-back into the full space with exact zeros off the support.
+solved by the globalized semismooth Newton method; the result is scattered
+back into the full space with exact zeros off the support.  A support is a
+sorted index array, as np.flatnonzero returns it.
 
 Phase I is a prefix of the plain ADMM run from the same start, and it can
 resume: run_hafam accepts the phase-one AdmmState of an earlier report (a
@@ -19,38 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import AdmmState, run_admm
-from .exceptions import EmptySupportAfterShrink, IndexOutOfRange
-from .model import Problem, SolverConfig, Support
+from .exceptions import EmptySupportAfterShrink
+from .model import Problem, SolverConfig
 from .prox import fraction_tau, hard_shrink_support
 from .ssnewton import ReducedProblem, run_ssnewton
-
-
-def embed(u, support: Support, n: int) -> np.ndarray:
-    """Scatter u onto the support inside an n-vector of exact zeros."""
-    u = np.asarray(u, dtype=float).ravel()
-    idx = support.to_array()
-    if u.shape[0] != idx.shape[0]:
-        raise IndexOutOfRange(
-            f"u has length {u.shape[0]} but the support has {idx.shape[0]}")
-    if idx.size and idx.max() >= n:
-        raise IndexOutOfRange(f"support index {idx.max()} out of range for n={n}")
-    x = np.zeros(n)
-    x[idx] = u
-    return x
-
-
-def restrict(x, support: Support) -> np.ndarray:
-    return np.asarray(x, dtype=float).ravel()[support.to_array()]
 
 
 @dataclass
 class HafamReport:
     """Two-phase result; phase1 is the resumable phase-one ADMM state and
-    phase2_trace is None when Newton was skipped."""
+    support the index array Newton ran on.  When the support never settled,
+    Newton is skipped: phase2_trace is None and support is the phase-one
+    support."""
 
     x_final: np.ndarray
     phase1: AdmmState
-    support: Support
+    support: np.ndarray
     phase1_trace: object
     phase2_trace: object
     tau: float = 0.0
@@ -84,20 +69,20 @@ def run_hafam(p: Problem, cfg: SolverConfig, x0, tau_frac=None,
     iterates, and so the report's points, do not depend on it."""
     state, tr1 = run_admm(p, cfg, x0, support_window=cfg.T, record=record)
     if tr1.stop_reason == "imax":
-        return HafamReport(state.x, state, Support.from_vector(state.x),
+        return HafamReport(state.x, state, np.flatnonzero(state.x),
                            phase1_trace=tr1, phase2_trace=None)
     if tau_frac is None:
         tau = float(cfg.tau)
     else:
         tau = fraction_tau(state.x, tau_frac)
-    xhat, supp = hard_shrink_support(state.x, tau)
-    if len(supp) == 0:
+    supp = hard_shrink_support(state.x, tau)
+    if supp.size == 0:
         raise EmptySupportAfterShrink(
             f"tau={tau} removed every entry of the phase-one iterate")
-    rp = ReducedProblem.from_support(p, supp)
-    u0 = restrict(xhat, supp)
-    u, tr2 = run_ssnewton(rp, u0, cfg.newton)
+    u, tr2 = run_ssnewton(ReducedProblem(p, supp), state.x[supp], cfg.newton)
+    x_final = np.zeros(p.n)
+    x_final[supp] = u
     return HafamReport(
-        x_final=embed(u, supp, p.n), phase1=state, support=supp,
+        x_final=x_final, phase1=state, support=supp,
         phase1_trace=tr1, phase2_trace=tr2, tau=tau,
     )

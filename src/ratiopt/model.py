@@ -43,14 +43,13 @@ class Fidelity(Enum):
 def ratio(x) -> float:
     """L1-over-L2 sparseness measure with ratio(0) = 1 by convention."""
     x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
+    top = float(np.max(np.abs(x), initial=0.0))
+    if top == 0.0:
         return 1.0
-    if not 1e-150 < nrm < 1e150:
-        # x @ x under- or overflows here; the ratio is scale-invariant
-        x = x / np.abs(x).max()
-        nrm = np.linalg.norm(x)
-    return float(np.abs(x).sum() / nrm)
+    if not 1e-150 < top < 1e150:
+        # x @ x may under- or overflow here; the ratio is scale-invariant
+        x = x / top
+    return float(np.abs(x).sum() / np.linalg.norm(x))
 
 
 def relerr(x_prev, x) -> float:
@@ -61,42 +60,6 @@ def relerr(x_prev, x) -> float:
         raise DimensionMismatch(f"shapes {x_prev.shape} and {x.shape} differ")
     den = max(1e-16, np.linalg.norm(x_prev), np.linalg.norm(x))
     return float(np.linalg.norm(x_prev - x) / den)
-
-
-@dataclass(frozen=True)
-class Support:
-    """Sorted set of column indices forming a support set."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(map(int, self.indices))
-        if idx != tuple(sorted(set(idx))):
-            raise ValueError("support indices must be strictly increasing")
-        if idx and idx[0] < 0:
-            raise ValueError("support indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_vector(cls, x) -> "Support":
-        return cls(tuple(np.flatnonzero(np.asarray(x)).tolist()))
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int)
-
-    def complement(self, n: int) -> np.ndarray:
-        mask = np.ones(n, dtype=bool)
-        mask[self.to_array()] = False
-        return np.flatnonzero(mask)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __contains__(self, i):
-        return i in self.indices
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 @dataclass(frozen=True)

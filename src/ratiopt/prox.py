@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonConvergence, ZeroVector
-from .model import Cone, Support, ratio
+from .model import Cone, ratio
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class ProxQuery:
 
 @dataclass(frozen=True)
 class ProxResult:
-    """Minimizer x with its objective value and support.
+    """Minimizer x with its objective value; its support is
+    np.flatnonzero(x).
 
     candidates_examined counts the points the search evaluated: 1 for
     x = 0, 1 per closed form (the top entry, and the block tied with it
@@ -56,7 +57,6 @@ class ProxResult:
 
     x: np.ndarray
     value: float
-    support: Support
     candidates_examined: int
 
 
@@ -136,7 +136,7 @@ def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
     examined = 1
 
     if kmax == 0:
-        return ProxResult(np.zeros(n), zero_value, Support(()), examined)
+        return ProxResult(np.zeros(n), zero_value, examined)
 
     # unit scale: magnitudes in (0, 1], a zero appended for the threshold
     # tau = 0, and the curvature rho*scale^2 that keeps every value
@@ -225,7 +225,7 @@ def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
 
     _, k, tau = best
     if k == 0:
-        return ProxResult(np.zeros(n), zero_value, Support(()), examined)
+        return ProxResult(np.zeros(n), zero_value, examined)
     idx = order[:k]
     x = np.zeros(n)
     if tau is None:
@@ -250,23 +250,19 @@ def prox_l1_over_l2(query: ProxQuery) -> ProxResult:
             x[idx] = q[idx]
             value = q_value
     if zero_value < value:
-        return ProxResult(np.zeros(n), zero_value, Support(()), examined)
-    return ProxResult(x, value, Support.from_vector(x), examined)
+        return ProxResult(np.zeros(n), zero_value, examined)
+    return ProxResult(x, value, examined)
 
 
-def hard_shrink_support(x, tau: float):
-    """Support selector |x_i| > tau; survivors keep their magnitudes.
+def hard_shrink_support(x, tau: float) -> np.ndarray:
+    """Sorted indices of the entries with |x_i| > tau.
 
-    The support agrees with max(|x| - tau, 0) .* x; magnitudes are kept
-    undistorted since only the support (and a Newton initialization)
-    is consumed downstream.
+    They are the support of max(|x| - tau, 0) .* x; x on them, undistorted,
+    is the Newton start.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    x = np.asarray(x, dtype=float).ravel()
-    mask = np.abs(x) > tau
-    xhat = np.where(mask, x, 0.0)
-    return xhat, Support(tuple(np.flatnonzero(mask)))
+    return np.flatnonzero(np.abs(np.asarray(x, dtype=float).ravel()) > tau)
 
 
 def soft_threshold(v, t: float) -> np.ndarray:

@@ -6,7 +6,8 @@ With the support fixed, the objective restricted to its interior is
 
 which is LC^1; its generalized Hessian is V - Q with V the restricted
 fidelity Hessian and Q a rank-two-plus-identity correction whose spectrum
-is known in closed form.
+is known in closed form.  The support S is a sorted index array, as
+np.flatnonzero returns it.
 """
 
 from __future__ import annotations
@@ -17,41 +18,47 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import (
+    DimensionMismatch,
     LineSearchStall,
     NotPositiveDefinite,
     SingularResidual,
     ZeroEntry,
 )
-from .model import Fidelity, NewtonConfig, Problem, Support
+from .model import Fidelity, NewtonConfig, Problem
 
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    """Parent problem restricted to a fixed support."""
+    """Parent problem restricted to a fixed support, with its columns a_cols.
+
+    The support is checked here, before it indexes anything: a negative
+    index would otherwise wrap around.
+    """
 
     parent: Problem
-    support: Support
-    a_cols: np.ndarray
+    support: np.ndarray
+    a_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.support) < 1:
-            raise ValueError("reduced problem needs a nonempty support")
-        if max(self.support.indices) >= self.parent.n:
+        idx = np.asarray(self.support)
+        if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
+            raise ValueError("support must be a nonempty 1-D integer array")
+        if np.any(idx[1:] <= idx[:-1]):
+            raise ValueError("support indices must be strictly increasing")
+        if idx[0] < 0 or idx[-1] >= self.parent.n:
             raise ValueError("support index out of range for the parent problem")
-
-    @classmethod
-    def from_support(cls, p: Problem, support: Support) -> "ReducedProblem":
-        return cls(p, support, p.A[:, support.to_array()])
+        object.__setattr__(self, "support", idx)
+        object.__setattr__(self, "a_cols", self.parent.A[:, idx])
 
     @property
     def s(self) -> int:
-        return len(self.support)
+        return self.support.size
 
 
 def _check_interior(rp: ReducedProblem, u) -> np.ndarray:
     u = np.asarray(u, dtype=float).ravel()
     if u.shape[0] != rp.s:
-        raise ZeroEntry(f"u has length {u.shape[0]}, expected {rp.s}")
+        raise DimensionMismatch(f"u has length {u.shape[0]}, expected {rp.s}")
     if np.any(u == 0.0):
         raise ZeroEntry("u has a zero entry (left the manifold interior)")
     return u

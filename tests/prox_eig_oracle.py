@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ratiopt.exceptions import NonConvergence
-from ratiopt.model import Cone, Support, ratio
+from ratiopt.model import Cone, ratio
 from ratiopt.prox import ProxQuery, ProxResult
 
 _POLISH_TOL = 1e-12
@@ -120,7 +120,7 @@ def eig_prox(query: ProxQuery) -> ProxResult:
     examined = 1
 
     if kmax == 0:
-        return ProxResult(np.zeros(n), zero_value, Support(()), examined)
+        return ProxResult(np.zeros(n), zero_value, examined)
 
     pk = p[:kmax]
     P = np.cumsum(pk)
@@ -174,7 +174,7 @@ def eig_prox(query: ProxQuery) -> ProxResult:
                         float(a_c[i, j]), float(1.0 / t[i, j]))
 
     if best is None:
-        return ProxResult(np.zeros(n), zero_value, Support(()), examined)
+        return ProxResult(np.zeros(n), zero_value, examined)
 
     k_idx, t_root, a_c, r_c = best
     k = k_idx + 1
@@ -194,5 +194,5 @@ def eig_prox(query: ProxQuery) -> ProxResult:
     x[idx] = signs[idx] * m
     value = ratio(x) + 0.5 * rho * float((x - q) @ (x - q))
     if zero_value < value:
-        return ProxResult(np.zeros(n), zero_value, Support(()), examined)
-    return ProxResult(x, value, Support.from_vector(x), examined)
+        return ProxResult(np.zeros(n), zero_value, examined)
+    return ProxResult(x, value, examined)

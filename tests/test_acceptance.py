@@ -28,7 +28,6 @@ from ratiopt.model import (
     Cone,
     Problem,
     SolverConfig,
-    Support,
     certificate,
     fidelity_grad,
     lipschitz_estimate,
@@ -177,7 +176,7 @@ def _random_reduced(rng, s=None):
     b = rng.standard_normal(m)
     u = (0.5 + rng.random(s)) * rng.choice([-1.0, 1.0], s)
     p = Problem(A=A, b=b, gamma=float(10.0 ** rng.uniform(-3, -1)))
-    rp = ReducedProblem.from_support(p, Support(tuple(range(s))))
+    rp = ReducedProblem(p, np.arange(s))
     return rp, u
 
 
@@ -236,7 +235,7 @@ def stationary_instance(seed, m=40, n=60):
     t = np.sign(u_star) / r - (a / r**3) * u_star
     b = a_cols @ (u_star + np.linalg.solve(V, gamma * t))
     p = Problem(A=A, b=b, gamma=gamma)
-    rp = ReducedProblem.from_support(p, Support(tuple(idx)))
+    rp = ReducedProblem(p, idx)
     return rp, u_star, rng
 
 

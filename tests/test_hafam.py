@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ratiopt.admm import AdmmState, run_admm
-from ratiopt.exceptions import EmptySupportAfterShrink, IndexOutOfRange
-from ratiopt.hafam import embed, restrict, run_hafam
-from ratiopt.model import Problem, SolverConfig, Support, objective
+from ratiopt.exceptions import EmptySupportAfterShrink
+from ratiopt.hafam import run_hafam
+from ratiopt.model import Problem, SolverConfig, objective
 
 
 def make_problem(seed=0, m=24, n=80, s=4, gamma=1e-2):
@@ -26,12 +26,12 @@ def support_stable(history, T):
     makes the run stop at once, as "imax" when the window is not stable)."""
     streak, prev = 0, None
     for s in history:
-        streak = streak + 1 if s == prev else 1
+        streak = streak + 1 if np.array_equal(s, prev) else 1
         prev = s
     k = len(history)
     p = Problem(A=np.eye(2), b=np.ones(2), gamma=1.0)
     st = AdmmState(x=np.zeros(2), y=np.zeros(2), z=np.zeros(2), k=k,
-                   support=history[-1].to_array(), streak=streak)
+                   support=np.asarray(history[-1]), streak=streak)
     out, tr = run_admm(p, SolverConfig(beta=1.0, imax=k), st,
                        support_window=T)
     assert out is st and tr.stop_reason in ("support_stable", "imax")
@@ -40,39 +40,18 @@ def support_stable(history, T):
 
 class TestSupportStable:
     def test_stable_window(self):
-        h = [Support((1, 3))] * 3
+        h = [[1, 3]] * 3
         assert support_stable(h, 2)
 
     def test_changed_support(self):
-        h = [Support((1, 3)), Support((1, 2)), Support((1, 2))]
+        h = [[1, 3], [1, 2], [1, 2]]
         assert not support_stable(h, 2)
 
     def test_single_window(self):
-        assert support_stable([Support((0,))], 0)
+        assert support_stable([[0]], 0)
 
     def test_short_history(self):
-        assert not support_stable([Support((0,))], 3)
-
-
-class TestEmbedRestrict:
-    def test_scatter(self):
-        x = embed([2.0, -1.0], Support((0, 2)), 4)
-        assert x == pytest.approx([2.0, 0.0, -1.0, 0.0])
-        assert np.all(x[[1, 3]] == 0.0)
-
-    def test_empty_support(self):
-        assert not np.any(embed([], Support(()), 3))
-
-    def test_round_trip(self):
-        x = np.array([0.0, 1.5, 0.0, -2.0])
-        s = Support.from_vector(x)
-        assert embed(restrict(x, s), s, 4) == pytest.approx(x)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            embed([1.0], Support((5,)), 3)
-        with pytest.raises(IndexOutOfRange):
-            embed([1.0, 2.0], Support((0,)), 3)
+        assert not support_stable([[0]], 3)
 
 
 class TestRunHafam:
@@ -81,7 +60,7 @@ class TestRunHafam:
         rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
         assert not rep.phase2_skipped
         assert rep.total_it >= rep.tran_it
-        assert set(np.flatnonzero(rep.x_final)) <= set(rep.support.indices)
+        assert set(np.flatnonzero(rep.x_final)) <= set(rep.support)
         # the gamma-weighted ratio term biases the minimizer away from
         # x_true by O(gamma), so the tolerance is proportional to it
         assert np.linalg.norm(rep.x_final - x_true) <= p.gamma * np.linalg.norm(x_true)
@@ -89,19 +68,19 @@ class TestRunHafam:
     def test_tau_zero_keeps_phase1_support(self):
         p, _ = make_problem(1)
         rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
-        assert rep.support == Support.from_vector(rep.x_phase1)
+        assert np.array_equal(rep.support, np.flatnonzero(rep.x_phase1))
 
     def test_phase2_never_increases_objective(self):
         p, _ = make_problem(2)
         rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
         x0 = np.zeros(p.n)
-        x0[rep.support.to_array()] = restrict(rep.x_phase1, rep.support)
+        x0[rep.support] = rep.x_phase1[rep.support]
         assert objective(p, rep.x_final) <= objective(p, x0) + 1e-12
 
     def test_final_support_exact(self):
         p, _ = make_problem(3)
         rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
-        assert Support.from_vector(rep.x_final) == rep.support
+        assert np.array_equal(np.flatnonzero(rep.x_final), rep.support)
 
     def test_degrades_on_iteration_cap(self):
         p, _ = make_problem(4)
@@ -126,8 +105,7 @@ class TestRunHafam:
         p, _ = make_problem(7)
         cfg = SolverConfig(beta=0.1, T=5)
         base = run_hafam(p, replace(cfg, tau=0.0), np.zeros(p.n))
-        small = np.min(np.abs(restrict(base.x_phase1,
-                                       Support.from_vector(base.x_phase1))))
+        small = np.min(np.abs(base.x_phase1[np.flatnonzero(base.x_phase1)]))
         pruned = run_hafam(p, replace(cfg, tau=small * 1.0001),
                            np.zeros(p.n))
         assert len(pruned.support) < len(base.support) or len(base.support) == 1

@@ -1,6 +1,7 @@
 """Data model, objective, gradients, and the stationarity certificate."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from ratiopt.model import (
     NewtonConfig,
     Problem,
     SolverConfig,
-    Support,
     certificate,
     fidelity_grad,
     lipschitz_estimate,
@@ -49,30 +49,16 @@ class TestRatio:
 
     @pytest.mark.parametrize("scale", [1.2854867033640505e-158, 1e200])
     def test_extreme_scales(self, scale):
-        # x @ x underflows or overflows at these scales
-        assert ratio([scale]) == 1.0
-        assert ratio([scale, -scale, scale]) == pytest.approx(np.sqrt(3))
+        # x @ x underflows or overflows at these scales; ratio must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ratio([scale]) == 1.0
+            assert ratio([scale, -scale, scale]) == pytest.approx(np.sqrt(3))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
     def test_lower_bound(self, entries):
         assert ratio(np.array(entries)) >= 1.0 - 1e-12
-
-
-class TestSupport:
-    def test_sorted_and_set_equality(self):
-        s = Support((0, 2, 5))
-        assert s == Support((0, 2, 5))
-        assert len(s) == 3 and 2 in s
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Support((2, 1))
-
-    def test_from_vector_and_complement(self):
-        s = Support.from_vector([0.0, 3.0, 0.0, -1.0])
-        assert s.indices == (1, 3)
-        assert list(s.complement(4)) == [0, 2]
 
 
 class TestProblem:

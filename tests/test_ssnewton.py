@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ratiopt.exceptions import (
+    DimensionMismatch,
     LineSearchStall,
     NotPositiveDefinite,
     ZeroEntry,
 )
-from ratiopt.model import NewtonConfig, Problem, Support
+from ratiopt.model import NewtonConfig, Problem
 from ratiopt.ssnewton import (
     DirectionKind,
     ReducedProblem,
@@ -25,7 +26,7 @@ from ratiopt.ssnewton import (
 
 def reduced(A, b, gamma, indices):
     p = Problem(A=np.asarray(A, float), b=np.asarray(b, float), gamma=gamma)
-    return ReducedProblem.from_support(p, Support(tuple(indices)))
+    return ReducedProblem(p, indices)
 
 
 def stationary_instance(seed, m=40, n=60):
@@ -44,8 +45,20 @@ def stationary_instance(seed, m=40, n=60):
     t = np.sign(u_star) / r - (a / r**3) * u_star
     b = a_cols @ (u_star + np.linalg.solve(V, gamma * t))
     p = Problem(A=A, b=b, gamma=gamma)
-    rp = ReducedProblem.from_support(p, Support(tuple(idx)))
+    rp = ReducedProblem(p, idx)
     return rp, u_star, rng
+
+
+class TestReducedProblem:
+    @pytest.mark.parametrize("indices", [
+        [2, 1], [1, 1], [-1, 2], [0, 4], [], [False, True],
+    ], ids=["unsorted", "duplicate", "negative", "out_of_range", "empty",
+            "bool_mask"])
+    def test_rejects_invalid_support(self, indices):
+        # a negative index would wrap around to a column from the end, and
+        # a boolean mask would select columns rather than name them
+        with pytest.raises(ValueError):
+            reduced(np.eye(4), np.ones(4), 1.0, indices)
 
 
 class TestPhiValue:
@@ -54,19 +67,24 @@ class TestPhiValue:
         assert phi_value(rp, [3.0]) == pytest.approx(1.0)
 
     def test_matches_full_objective(self):
-        from ratiopt.hafam import embed
         from ratiopt.model import objective
         rng = np.random.default_rng(0)
         A = rng.standard_normal((6, 9))
         rp = reduced(A, rng.standard_normal(6), 0.7, [1, 4, 6])
         u = rng.standard_normal(3) + np.sign(rng.standard_normal(3))
-        x = embed(u, rp.support, 9)
+        x = np.zeros(9)
+        x[rp.support] = u
         assert phi_value(rp, u) == pytest.approx(objective(rp.parent, x))
 
     def test_zero_entry_raises(self):
         rp = reduced(np.eye(2), [1.0, 1.0], 1.0, [0, 1])
         with pytest.raises(ZeroEntry):
             phi_value(rp, [1.0, 0.0])
+
+    def test_wrong_length_raises(self):
+        rp = reduced(np.eye(2), [1.0, 1.0], 1.0, [0, 1])
+        with pytest.raises(DimensionMismatch):
+            phi_value(rp, [1.0, 1.0, 1.0])
 
 
 class TestPhiGrad:
@@ -229,12 +247,12 @@ class TestRunSsnewton:
         assert np.all(np.diff(vals) <= 1e-15)
 
     def test_stationarity_transfer(self):
-        from ratiopt.hafam import embed
         from ratiopt.model import certificate
         rp, u_star, rng = stationary_instance(3)
         u0 = u_star * (1.0 + 0.05 * rng.standard_normal(u_star.size))
         u, tr = run_ssnewton(rp, u0)
-        x = embed(u, rp.support, rp.parent.n)
+        x = np.zeros(rp.parent.n)
+        x[rp.support] = u
         assert (certificate(rp.parent, x).kkt_residual
                 <= tr.grad_norms[-1] + 1e-12)
 
