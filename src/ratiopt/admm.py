@@ -80,8 +80,11 @@ class LeastSquaresYSolver:
         return scipy.linalg.cho_solve(self.factor, self.atb + self.beta * v)
 
 
-def y_update_residual_norm(p: Problem, beta: float, v, inner_tol: float = 1e-9,
-                           max_iters: int = 10000) -> np.ndarray:
+_RN_INNER_TOL = 1e-9
+_RN_MAX_ITERS = 10000
+
+
+def y_update_residual_norm(p: Problem, beta: float, v) -> np.ndarray:
     """y-subproblem for Phi = ||Ay - b||, solved through its dual.
 
     The dual maximizes <lam, Av - b> - ||A^T lam||^2/(2 beta) over the unit
@@ -98,7 +101,7 @@ def y_update_residual_norm(p: Problem, beta: float, v, inner_tol: float = 1e-9,
     lam = np.zeros(p.m)
     lam_prev = lam
     tk = 1.0
-    for _ in range(max_iters):
+    for _ in range(_RN_MAX_ITERS):
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         w = lam + ((tk - 1.0) / tk_next) * (lam - lam_prev)
         grad = A @ (A.T @ w) / beta - g0
@@ -112,7 +115,7 @@ def y_update_residual_norm(p: Problem, beta: float, v, inner_tol: float = 1e-9,
         res_nrm = np.linalg.norm(res)
         if res_nrm > 0.0:
             sub = A.T @ (res / res_nrm) + beta * (y - v)
-            if np.linalg.norm(sub) <= inner_tol:
+            if np.linalg.norm(sub) <= _RN_INNER_TOL:
                 return y
         else:
             return y
@@ -121,9 +124,9 @@ def y_update_residual_norm(p: Problem, beta: float, v, inner_tol: float = 1e-9,
 
 @dataclass
 class AdmmState:
-    """Iterate triple after k steps and the last step's telemetry; streak
-    counts the consecutive iterates, ending at x^k, with support `support`
-    (0 for a fresh state)."""
+    """Iterate triple after k steps and the last step's relative change;
+    streak counts the consecutive iterates, ending at x^k, with support
+    `support` (0 for a fresh state)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -132,7 +135,6 @@ class AdmmState:
     support: np.ndarray | None = None
     streak: int = 0
     relerr: float = np.inf
-    y_residual: float = np.inf
 
 
 @dataclass
@@ -213,9 +215,9 @@ def _run_loop(p, cfg, x0, x_step, support_window, record, ratio_model):
         supp = np.flatnonzero(x_new)
         y_new = y_step(x_new + z / beta)
         z_new = z + beta * (x_new - y_new)
-        y_res = float(np.linalg.norm(y - y_new))
         change = relerr(x, x_new)
         if record:
+            y_res = float(np.linalg.norm(y - y_new))
             trace.relerr.append(change)
             trace.y_residual.append(y_res)
             trace.kkt_upper_bound.append(bound_coef * y_res)
@@ -237,8 +239,7 @@ def _run_loop(p, cfg, x0, x_step, support_window, record, ratio_model):
                 trace.subgrad_distance.append(np.nan)
         same = st.streak and np.array_equal(supp, st.support)
         st = AdmmState(x=x_new, y=y_new, z=z_new, k=st.k + 1, support=supp,
-                       streak=st.streak + 1 if same else 1, relerr=change,
-                       y_residual=y_res)
+                       streak=st.streak + 1 if same else 1, relerr=change)
         trace.stop_reason = _stop_reason(st, cfg, support_window)
     return st, trace
 

@@ -241,8 +241,7 @@ def _run_solver(p: Problem, cfg: dict, record=False):
         tau_frac = cfg.get("tau_frac") if scfg.tau <= 0.0 else None
         rep = run_hafam(p, scfg, x0, tau_frac=tau_frac, record=record)
         tr2 = rep.phase2_trace
-        converged = (tr2 is not None and not tr2.stalled
-                     and tr2.grad_norms[-1] <= scfg.newton.grad_tol)
+        converged = tr2 is not None and tr2.stop_reason == "grad_tol"
         return rep.x_final, rep.total_it, rep, converged
     raise ConfigError(f"unknown solver '{solver}'")
 

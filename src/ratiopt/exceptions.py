@@ -55,7 +55,3 @@ class DegenerateColumn(RatioptError):
 
 class ZeroReference(RatioptError):
     """Relative-error metric called with a zero reference vector."""
-
-
-class NotPositiveDefinite(RatioptError):
-    """Matrix expected to be symmetric positive definite is not."""

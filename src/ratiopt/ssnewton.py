@@ -5,9 +5,11 @@ With the support fixed, the objective restricted to its interior is
     phi(u) = gamma * ||u||_1/||u||_2 + Phi(A_S u - b),   u has no zeros,
 
 which is LC^1; its generalized Hessian is V - Q with V the restricted
-fidelity Hessian and Q a rank-two-plus-identity correction whose spectrum
-is known in closed form.  The support S is a sorted index array, as
-np.flatnonzero returns it.
+fidelity Hessian and Q a rank-two-plus-identity correction.  Q's
+closed-form spectrum and the gamma bound that makes V - Q positive
+definite belong to the analysis, not to the solver: tests/reduced_oracle.py
+holds them and the tests check hessian() against them.  The support S is
+a sorted index array, as np.flatnonzero returns it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .exceptions import (
     DimensionMismatch,
     LineSearchStall,
-    NotPositiveDefinite,
     SingularResidual,
     ZeroEntry,
 )
@@ -90,40 +91,8 @@ def phi_grad(rp: ReducedProblem, u) -> np.ndarray:
     return gamma * (np.sign(u) / r - (a / r**3) * u) + fit
 
 
-@dataclass(frozen=True)
-class HessianModel:
-    """Generalized Hessian V - Q of phi at u, with Q's closed-form spectrum."""
-
-    u: np.ndarray
-    a: float
-    r: float
-    gamma: float
-    v_block: np.ndarray
-    q_matrix: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.v_block - self.q_matrix
-
-    @property
-    def s(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def q_scale(self) -> float:
-        # gamma / r^3, the prefactor shared by all Q eigenvalues
-        return self.gamma / self.r**3
-
-    def q_eigenvalues(self):
-        """(lam1, lam2, lam_rest): the two edge eigenvalues of Q and the
-        value carried with multiplicity s - 2."""
-        disc = np.sqrt(max(4 * self.s * self.r**2 - 3 * self.a**2, 0.0))
-        lam1 = self.q_scale * (self.a - disc) / 2.0
-        lam2 = self.q_scale * (self.a + disc) / 2.0
-        return lam1, lam2, self.q_scale * self.a
-
-
-def hessian(rp: ReducedProblem, u) -> HessianModel:
+def hessian(rp: ReducedProblem, u) -> np.ndarray:
+    """Generalized Hessian V - Q of phi at u, an s x s matrix."""
     u = _check_interior(rp, u)
     gamma = rp.parent.gamma
     a = float(np.abs(u).sum())
@@ -142,7 +111,7 @@ def hessian(rp: ReducedProblem, u) -> HessianModel:
     q = (gamma / r**3) * (
         outer + outer.T - (3.0 * a / r**2) * np.outer(u, u) + a * np.eye(u.size)
     )
-    return HessianModel(u=u, a=a, r=r, gamma=gamma, v_block=v_block, q_matrix=q)
+    return v_block - q
 
 
 class DirectionKind(Enum):
@@ -192,8 +161,7 @@ def direction_from_hessian(H: np.ndarray, grad: np.ndarray,
 
 
 def newton_direction(rp: ReducedProblem, u, grad, cfg: NewtonConfig):
-    return direction_from_hessian(hessian(rp, u).matrix, np.asarray(grad, float),
-                                  cfg)
+    return direction_from_hessian(hessian(rp, u), np.asarray(grad, float), cfg)
 
 
 def backtrack(phi, u, d, grad, cfg: NewtonConfig, guard=None,
@@ -226,52 +194,44 @@ def armijo(rp: ReducedProblem, u, d, grad, cfg: NewtonConfig):
 
 @dataclass
 class SsnTrace:
+    """Per-iteration records of one Newton run; stop_reason is "grad_tol",
+    "cap" (ssn_max steps, gradient above grad_tol) or "stall" (Armijo)."""
+
     grad_norms: list = field(default_factory=list)
     values: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
     kinds: list = field(default_factory=list)
-    stalled: bool = False
     iterations: int = 0
+    stop_reason: str = ""
+
+    @property
+    def stalled(self) -> bool:
+        return self.stop_reason == "stall"
 
 
 def run_ssnewton(rp: ReducedProblem, u0, cfg: NewtonConfig = NewtonConfig()):
-    """Direction + line search until the gradient tolerance or the cap."""
+    """Direction + line search until the gradient tolerance, the cap or a
+    line-search stall."""
     u = _check_interior(rp, u0).copy()
     trace = SsnTrace()
-    for _ in range(cfg.ssn_max):
+    while True:
         g = phi_grad(rp, u)
         gn = float(np.linalg.norm(g))
         trace.grad_norms.append(gn)
         trace.values.append(phi_value(rp, u))
         if gn <= cfg.grad_tol:
+            trace.stop_reason = "grad_tol"
+            break
+        if trace.iterations >= cfg.ssn_max:
+            trace.stop_reason = "cap"
             break
         d, kind = newton_direction(rp, u, g, cfg)
         trace.kinds.append(kind)
         try:
             alpha, u = armijo(rp, u, d, g, cfg)
         except LineSearchStall:
-            trace.stalled = True
+            trace.stop_reason = "stall"
             break
         trace.alphas.append(alpha)
         trace.iterations += 1
-    else:
-        g = phi_grad(rp, u)
-        trace.grad_norms.append(float(np.linalg.norm(g)))
-        trace.values.append(phi_value(rp, u))
     return u, trace
-
-
-def pd_gamma_bound(v_block: np.ndarray, u) -> float:
-    """Largest gamma guaranteeing a positive definite reduced Hessian:
-    2*||u||_2^2 * lam_min(V) / (3*sqrt(s))."""
-    u = np.asarray(u, dtype=float).ravel()
-    if np.any(u == 0.0):
-        raise ZeroEntry("u must have no zero entries")
-    v_block = np.asarray(v_block, dtype=float)
-    if not np.allclose(v_block, v_block.T, atol=1e-10):
-        raise NotPositiveDefinite("v_block is not symmetric")
-    lam_min = float(np.linalg.eigvalsh(v_block)[0])
-    if lam_min <= 0.0:
-        raise NotPositiveDefinite("v_block is not positive definite")
-    s = u.shape[0]
-    return 2.0 * float(u @ u) * lam_min / (3.0 * np.sqrt(s))

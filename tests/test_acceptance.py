@@ -43,11 +43,11 @@ from ratiopt.prox import (
 from ratiopt.ssnewton import (
     ReducedProblem,
     hessian,
-    pd_gamma_bound,
     phi_grad,
     phi_value,
     run_ssnewton,
 )
+from reduced_oracle import q_from_hessian, q_spectrum, stationary_instance
 
 SEEDS = range(10)
 GAMMA = 1e-4
@@ -195,7 +195,7 @@ def test_05_reduced_calculus():
             grad_ok = False
     for _ in range(100):
         rp, u = _random_reduced(rng)
-        H = hessian(rp, u).matrix
+        H = hessian(rp, u)
         v = rng.standard_normal(u.size)
         h = 1e-6
         hv_fd = (phi_grad(rp, u + h * v) - phi_grad(rp, u - h * v)) / (2 * h)
@@ -205,38 +205,17 @@ def test_05_reduced_calculus():
     for _ in range(200):
         s = int(rng.integers(2, 31))
         rp, u = _random_reduced(rng, s=s)
-        model = hessian(rp, u)
-        lam1, lam2, lam_rest = model.q_eigenvalues()
+        lam1, lam2, lam_rest = q_spectrum(rp.parent.gamma, u)
         predicted = np.sort(np.r_[lam1, lam2, np.full(s - 2, lam_rest)])
-        actual = np.linalg.eigvalsh(model.q_matrix)
+        actual = np.linalg.eigvalsh(q_from_hessian(rp, u))
         if np.max(np.abs(predicted - actual)) > 1e-10:
             spec_ok = False
-        if abs((lam1 + lam2) - model.q_scale * model.a) > 1e-12:
+        if abs((lam1 + lam2) - lam_rest) > 1e-12:
             spec_ok = False
     ok = grad_ok and hess_ok and spec_ok
     report(5, "reduced-objective gradient, Hessian, and closed-form "
               "spectrum", ok)
     assert ok, (grad_ok, hess_ok, spec_ok)
-
-
-def stationary_instance(seed, m=40, n=60):
-    """Instance whose reduced problem has a known interior stationary point
-    with a positive definite Hessian (gamma below the guarantee bound)."""
-    rng = np.random.default_rng(seed)
-    s = int(rng.integers(3, 12))
-    A = rng.standard_normal((m, n)) / np.sqrt(m)
-    idx = np.sort(rng.choice(n, s, replace=False))
-    u_star = (0.5 + rng.random(s)) * rng.choice([-1.0, 1.0], s)
-    a_cols = A[:, idx]
-    V = a_cols.T @ a_cols
-    gamma = 0.1 * pd_gamma_bound(V, u_star)
-    a = np.abs(u_star).sum()
-    r = np.linalg.norm(u_star)
-    t = np.sign(u_star) / r - (a / r**3) * u_star
-    b = a_cols @ (u_star + np.linalg.solve(V, gamma * t))
-    p = Problem(A=A, b=b, gamma=gamma)
-    rp = ReducedProblem(p, idx)
-    return rp, u_star, rng
 
 
 def test_06_newton_superlinear_tail():

@@ -321,8 +321,7 @@ class TestL1Baseline:
 def assert_same_state(a, b):
     for name in ("x", "y", "z", "support"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert (a.k, a.streak, a.relerr, a.y_residual) == \
-        (b.k, b.streak, b.relerr, b.y_residual)
+    assert (a.k, a.streak, a.relerr) == (b.k, b.streak, b.relerr)
 
 
 class TestResume:

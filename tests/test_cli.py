@@ -127,7 +127,7 @@ class TestSolveCommand:
 
         def stalled(*args, **kwargs):
             rep = solve(*args, **kwargs)
-            rep.phase2_trace.stalled = True
+            rep.phase2_trace.stop_reason = "stall"
             return rep
 
         monkeypatch.setattr(cli, "run_hafam", stalled)

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from ratiopt.exceptions import (
-    DimensionMismatch,
-    LineSearchStall,
-    NotPositiveDefinite,
-    ZeroEntry,
-)
-from ratiopt.model import NewtonConfig, Problem
+from ratiopt import ssnewton
+from ratiopt.exceptions import DimensionMismatch, LineSearchStall, ZeroEntry
+from ratiopt.model import Fidelity, NewtonConfig, Problem
 from ratiopt.ssnewton import (
     DirectionKind,
     ReducedProblem,
@@ -17,36 +13,22 @@ from ratiopt.ssnewton import (
     backtrack,
     direction_from_hessian,
     hessian,
-    pd_gamma_bound,
     phi_grad,
     phi_value,
     run_ssnewton,
 )
+from reduced_oracle import (
+    pd_gamma_bound,
+    q_from_hessian,
+    q_spectrum,
+    stationary_instance,
+)
 
 
-def reduced(A, b, gamma, indices):
-    p = Problem(A=np.asarray(A, float), b=np.asarray(b, float), gamma=gamma)
+def reduced(A, b, gamma, indices, fidelity=Fidelity.LEAST_SQUARES):
+    p = Problem(A=np.asarray(A, float), b=np.asarray(b, float), gamma=gamma,
+                fidelity=fidelity)
     return ReducedProblem(p, indices)
-
-
-def stationary_instance(seed, m=40, n=60):
-    """Instance whose reduced problem has a known interior stationary point
-    with a positive definite Hessian (gamma below the guarantee bound)."""
-    rng = np.random.default_rng(seed)
-    s = int(rng.integers(3, 12))
-    A = rng.standard_normal((m, n)) / np.sqrt(m)
-    idx = np.sort(rng.choice(n, s, replace=False))
-    u_star = (0.5 + rng.random(s)) * rng.choice([-1.0, 1.0], s)
-    a_cols = A[:, idx]
-    V = a_cols.T @ a_cols
-    gamma = 0.1 * pd_gamma_bound(V, u_star)
-    a = np.abs(u_star).sum()
-    r = np.linalg.norm(u_star)
-    t = np.sign(u_star) / r - (a / r**3) * u_star
-    b = a_cols @ (u_star + np.linalg.solve(V, gamma * t))
-    p = Problem(A=A, b=b, gamma=gamma)
-    rp = ReducedProblem(p, idx)
-    return rp, u_star, rng
 
 
 class TestReducedProblem:
@@ -100,10 +82,11 @@ class TestPhiGrad:
         fit = rp.a_cols.T @ (rp.a_cols @ u - rp.parent.b)
         assert phi_grad(rp, u) == pytest.approx(fit)
 
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize("fidelity", list(Fidelity))
+    def test_matches_finite_differences(self, fidelity):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((8, 12))
-        rp = reduced(A, rng.standard_normal(8), 0.3, [0, 2, 5, 9])
+        rp = reduced(A, rng.standard_normal(8), 0.3, [0, 2, 5, 9], fidelity)
         u = rng.standard_normal(4) + np.sign(rng.standard_normal(4))
         g = phi_grad(rp, u)
         h = 1e-6
@@ -115,18 +98,17 @@ class TestPhiGrad:
 class TestHessian:
     def test_two_dimensional_spectrum(self):
         rp = reduced(np.eye(2), [1.0, 1.0], 1.0, [0, 1])
-        H = hessian(rp, [1.0, 1.0])
-        lam1, lam2, _ = H.q_eigenvalues()
+        lam1, lam2, _ = q_spectrum(1.0, [1.0, 1.0])
         assert lam1 == pytest.approx(0.0, abs=1e-12)
         assert lam2 == pytest.approx(np.sqrt(2) / 2)
-        ev = np.sort(np.linalg.eigvalsh(H.q_matrix))
+        ev = np.sort(np.linalg.eigvalsh(q_from_hessian(rp, [1.0, 1.0])))
         assert ev == pytest.approx([0.0, np.sqrt(2) / 2], abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((7, 10))
         rp = reduced(A, rng.standard_normal(7), 0.8, [0, 3, 6, 8])
-        H = hessian(rp, rng.standard_normal(4) + 1.0).matrix
+        H = hessian(rp, rng.standard_normal(4) + 1.0)
         assert np.max(np.abs(H - H.T)) <= 1e-12
 
     def test_trace_identity_and_bulk_eigenvalue(self):
@@ -137,20 +119,20 @@ class TestHessian:
             rp = reduced(A, rng.standard_normal(s + 4), 0.5, range(s))
             u = rng.standard_normal(s)
             u[u == 0.0] = 1.0
-            H = hessian(rp, u)
-            lam1, lam2, lam_rest = H.q_eigenvalues()
+            lam1, lam2, lam_rest = q_spectrum(0.5, u)
             assert lam1 + lam2 == pytest.approx(lam_rest, abs=1e-12)
-            ev = np.sort(np.linalg.eigvalsh(H.q_matrix))
+            ev = np.sort(np.linalg.eigvalsh(q_from_hessian(rp, u)))
             pred = np.sort(np.r_[lam1, lam2, np.full(s - 2, lam_rest)])
             assert np.max(np.abs(ev - pred)) <= 1e-10
             assert lam1 <= 1e-12 and lam2 >= -1e-12
 
-    def test_hessian_vector_consistency(self):
+    @pytest.mark.parametrize("fidelity", list(Fidelity))
+    def test_hessian_vector_consistency(self, fidelity):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((9, 14))
-        rp = reduced(A, rng.standard_normal(9), 0.4, [1, 4, 7, 11])
+        rp = reduced(A, rng.standard_normal(9), 0.4, [1, 4, 7, 11], fidelity)
         u = rng.standard_normal(4) + np.sign(rng.standard_normal(4))
-        H = hessian(rp, u).matrix
+        H = hessian(rp, u)
         v = rng.standard_normal(4)
         t = 1e-6
         hv = (phi_grad(rp, u + t * v) - phi_grad(rp, u)) / t
@@ -256,8 +238,45 @@ class TestRunSsnewton:
         assert (certificate(rp.parent, x).kkt_residual
                 <= tr.grad_norms[-1] + 1e-12)
 
+    @pytest.mark.parametrize("reason", ["grad_tol", "cap", "stall"])
+    def test_stop_reason(self, reason, monkeypatch):
+        # run_ssnewton must reach its layers through the module, where a
+        # wrapper installed on ssnewton sees every call
+        rp, u_star, rng = stationary_instance(4)
+        u0 = u_star * (1.0 + 0.05 * rng.standard_normal(u_star.size))
+        cfg = NewtonConfig()
+        if reason == "cap":
+            u0, cfg = 2.0 * u_star, NewtonConfig(ssn_max=1)
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def stall(*args, **kwargs):
+            raise LineSearchStall("forced stall")
+
+        armijo_fn = stall if reason == "stall" else ssnewton.armijo
+        for name, fn in (("hessian", ssnewton.hessian),
+                         ("newton_direction", ssnewton.newton_direction),
+                         ("armijo", armijo_fn)):
+            monkeypatch.setattr(ssnewton, name, counted(name, fn))
+        _, tr = run_ssnewton(rp, u0, cfg)
+        assert tr.stop_reason == reason
+        assert tr.stalled == (reason == "stall")
+        assert (tr.grad_norms[-1] <= cfg.grad_tol) == (reason == "grad_tol")
+        steps = len(tr.kinds)
+        assert steps >= 1
+        assert calls == dict.fromkeys(
+            ("hessian", "newton_direction", "armijo"), steps)
+        assert tr.iterations == len(tr.alphas) == steps - (reason == "stall")
+
 
 class TestPdGammaBound:
+    """The oracle's bound, checked against the library's Hessian."""
+
     def test_identity_block(self):
         assert pd_gamma_bound(np.eye(4), np.ones(4)) == pytest.approx(4 / 3)
 
@@ -281,10 +300,9 @@ class TestPdGammaBound:
             u = rng.standard_normal(s) + np.sign(rng.standard_normal(s))
             gamma = 0.99 * pd_gamma_bound(V, u)
             rp = reduced(np.eye(s), np.zeros(s), gamma, range(s))
-            H = hessian(rp, u)
-            full = V - H.q_matrix
+            full = V - q_from_hessian(rp, u)
             assert np.linalg.eigvalsh(full)[0] > 0.0
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(ValueError):
             pd_gamma_bound(np.diag([1.0, -1.0]), np.ones(2))
