@@ -12,7 +12,7 @@ from .model import (Cone, Fidelity, NewtonConfig, Problem, SolverConfig,
                     objective, ratio, relerr, subgradient_distance)
 from .prox import (ProxQuery, fraction_tau, hard_shrink_support,
                    prox_l1_over_l2, soft_threshold)
-from .ssnewton import ReducedProblem, run_ssnewton
+from .ssnewton import run_ssnewton
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,6 @@ __all__ = [
     "ProxQuery", "prox_l1_over_l2", "hard_shrink_support", "soft_threshold",
     "fraction_tau",
     "AdmmState", "run_admm", "run_admm_l1_baseline",
-    "ReducedProblem", "run_ssnewton",
+    "run_ssnewton",
     "run_hafam",
 ]

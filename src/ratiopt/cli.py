@@ -45,6 +45,15 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like configuration errors: 2 means a solve did
+    not converge."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -198,12 +207,15 @@ def _outdir(args, command: str) -> str:
 # ---------------------------------------------------------------------------
 # solve
 
+def _given(cfg: dict, keys) -> dict:
+    """cfg's entries under keys; an absent key keeps the callee's default."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
 def _build_synthetic(cfg: dict):
     spec = SynthSpec(family=cfg["family"], m=cfg["m"], n=cfg["n"], s=cfg["s"],
-                     coherence=cfg["coherence"],
-                     dynamic_D=cfg.get("dynamic_D", 1.0),
-                     noise_sigma=cfg.get("noise_sigma", 0.0),
-                     seed=cfg["seed"])
+                     coherence=cfg["coherence"], seed=cfg["seed"],
+                     **_given(cfg, ("dynamic_D", "noise_sigma")))
     A, b, xstar = spec.build()
     return Problem(A=A, b=b, gamma=cfg["gamma"], cone=Cone.FREE,
                    fidelity=Fidelity.LEAST_SQUARES), xstar
@@ -219,9 +231,8 @@ def _initial_point(cfg: dict, n: int) -> np.ndarray:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(beta=cfg["beta"], T=cfg.get("T", 5),
-                        tau=cfg.get("tau", 0.0), imax=cfg.get("imax", 2000),
-                        rel_tol=cfg.get("rel_tol", 1e-8), seed=cfg["seed"])
+    return SolverConfig(beta=cfg["beta"], seed=cfg["seed"],
+                        **_given(cfg, ("T", "tau", "imax", "rel_tol")))
 
 
 def _run_solver(p: Problem, cfg: dict, record=False):
@@ -248,7 +259,7 @@ def _run_solver(p: Problem, cfg: dict, record=False):
 
 def cmd_solve(args) -> int:
     cfg = resolve_config(args, dict(solver="hafam", init="zero"))
-    for key in ("family", "gamma", "beta"):
+    for key in ("family", "m", "n", "s", "coherence", "gamma", "beta"):
         if key not in cfg:
             raise ConfigError(f"missing required key '{key}'")
     manifest = RunManifest(command="solve", config=cfg, seed=cfg["seed"],
@@ -305,7 +316,7 @@ def cmd_identify(args) -> int:
     seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
     result = finite_identification_study(
         cfg["m_list"], cfg["s_list"], cfg["T_list"], n=cfg["n"], seeds=seeds,
-        gamma=cfg["gamma"], beta=cfg["beta"], imax=cfg.get("imax", 2000))
+        gamma=cfg["gamma"], beta=cfg["beta"], **_given(cfg, ("imax",)))
     csv_path = os.path.join(out, "identify_heatmap.csv")
     manifest.outputs = (csv_path,)
     rows = [(c.m, c.s, c.T, f"{c.sparsity_level:.6f}",
@@ -447,20 +458,16 @@ def _add_common(sub):
     sub.add_argument("--preset", choices=sorted(PRESETS))
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int)
-    for key, kind in _KEY_TYPES.items():
+    for key in _KEY_TYPES:
         if key in ("preset", "seed"):
             continue
-        flag = f"--{key.replace('_', '-')}"
-        if kind == "int_list":
-            sub.add_argument(flag, dest=key,
-                             type=lambda raw:
-                             [int(v) for v in raw.split(",") if v.strip()])
-        else:
-            sub.add_argument(flag, dest=key, type=kind)
+        # a bad flag value is reported like a bad config-file value
+        sub.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                         type=lambda raw, key=key: _coerce(key, raw))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratiopt",
         description="L1-over-L2 ratio sparse recovery toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -475,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ConfigError, OSError, ValueError, RatioptError) as exc:
         print(f"error: {exc}", file=sys.stderr)

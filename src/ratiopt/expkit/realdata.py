@@ -16,8 +16,10 @@ def load_csv(path, target: str):
     """Reads a numeric CSV with a header row; returns (M, y, feature_names)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError(f"CSV file {path} has no data rows")
     if target not in header:
         raise ValueError(f"target column {target!r} not found in {header}")
     data = np.asarray(rows, dtype=float)

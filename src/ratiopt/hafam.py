@@ -1,11 +1,11 @@
 """Two-phase solver: ADMM until the support stabilizes, then Newton.
 
 Phase I runs the ratio-prox ADMM until the support set is unchanged over
-T+1 consecutive iterates.  The phase-one iterate is hard-shrunk, the
-problem is restricted to the surviving support, and the reduced problem is
-solved by the globalized semismooth Newton method; the result is scattered
-back into the full space with exact zeros off the support.  A support is a
-sorted index array, as np.flatnonzero returns it.
+T+1 consecutive iterates.  The phase-one iterate is hard-shrunk, and the
+globalized semismooth Newton method solves the same problem on the
+surviving support's columns, a Problem whose A is A[:, support]; the
+result is scattered back into the full space with exact zeros off the
+support.  A support is a sorted index array, as np.flatnonzero returns it.
 
 Phase I is a prefix of the plain ADMM run from the same start, and it can
 resume: run_hafam accepts the phase-one AdmmState of an earlier report (a
@@ -15,7 +15,7 @@ standalone solve, so one trajectory serves every T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .admm import AdmmState, run_admm
 from .exceptions import EmptySupportAfterShrink
 from .model import Problem, SolverConfig
 from .prox import fraction_tau, hard_shrink_support
-from .ssnewton import ReducedProblem, run_ssnewton
+from .ssnewton import run_ssnewton
 
 
 @dataclass
@@ -79,7 +79,8 @@ def run_hafam(p: Problem, cfg: SolverConfig, x0, tau_frac=None,
     if supp.size == 0:
         raise EmptySupportAfterShrink(
             f"tau={tau} removed every entry of the phase-one iterate")
-    u, tr2 = run_ssnewton(ReducedProblem(p, supp), state.x[supp], cfg.newton)
+    u, tr2 = run_ssnewton(replace(p, A=p.A[:, supp]), state.x[supp],
+                           cfg.newton)
     x_final = np.zeros(p.n)
     x_final[supp] = u
     return HafamReport(

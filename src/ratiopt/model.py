@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -118,25 +119,17 @@ class Problem:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Parameters of the globalized semismooth Newton phase."""
+    """Globalized semismooth Newton phase: the iteration cap is its one
+    setting; the forcing (eta, nu), Armijo (mu, delta), fallback scale and
+    gradient tolerance are constants of the method."""
 
-    eta: float = 1e-3
-    nu: float = 1e-8
-    mu: float = 1e-8
-    delta: float = 0.95
-    b_scale: float = 0.1
-    grad_tol: float = 1e-11
+    eta: ClassVar[float] = 1e-3
+    nu: ClassVar[float] = 1e-8
+    mu: ClassVar[float] = 1e-8
+    delta: ClassVar[float] = 0.95
+    b_scale: ClassVar[float] = 0.1
+    grad_tol: ClassVar[float] = 1e-11
     ssn_max: int = 2500
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 0.5:
-            raise ValueError("mu must lie in (0, 1/2)")
-        for name in ("eta", "nu", "delta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not self.b_scale > 0:
-            raise ValueError("b_scale must be positive")
 
 
 @dataclass(frozen=True)

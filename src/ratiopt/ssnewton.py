@@ -1,15 +1,17 @@
-"""Reduced problem on the active manifold and the globalized Newton phase.
+"""Globalized semismooth Newton phase on the active manifold.
 
-With the support fixed, the objective restricted to its interior is
+With the support S fixed, the two-phase solver hands Newton the problem on
+S's columns: an ordinary Problem whose A is A[:, S].  On the interior of an
+orthant its objective
 
-    phi(u) = gamma * ||u||_1/||u||_2 + Phi(A_S u - b),   u has no zeros,
+    phi(u) = gamma * ||u||_1/||u||_2 + Phi(A u - b),   u has no zeros,
 
-which is LC^1; its generalized Hessian is V - Q with V the restricted
-fidelity Hessian and Q a rank-two-plus-identity correction.  Q's
+is LC^1; its generalized Hessian is V - Q with V the fidelity Hessian and
+Q a rank-two-plus-identity correction.  Phi and its gradient come from
+model; only the Hessian, which only Newton needs, is built here.  Q's
 closed-form spectrum and the gamma bound that makes V - Q positive
 definite belong to the analysis, not to the solver: tests/reduced_oracle.py
-holds them and the tests check hessian() against them.  The support S is
-a sorted index array, as np.flatnonzero returns it.
+holds them and the tests check hessian() against them.
 """
 
 from __future__ import annotations
@@ -25,90 +27,49 @@ from .exceptions import (
     SingularResidual,
     ZeroEntry,
 )
-from .model import Fidelity, NewtonConfig, Problem
+from .model import (Fidelity, NewtonConfig, Problem, fidelity_grad,
+                    fidelity_value)
 
 
-@dataclass(frozen=True)
-class ReducedProblem:
-    """Parent problem restricted to a fixed support, with its columns a_cols.
-
-    The support is checked here, before it indexes anything: a negative
-    index would otherwise wrap around.
-    """
-
-    parent: Problem
-    support: np.ndarray
-    a_cols: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        idx = np.asarray(self.support)
-        if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
-            raise ValueError("support must be a nonempty 1-D integer array")
-        if np.any(idx[1:] <= idx[:-1]):
-            raise ValueError("support indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= self.parent.n:
-            raise ValueError("support index out of range for the parent problem")
-        object.__setattr__(self, "support", idx)
-        object.__setattr__(self, "a_cols", self.parent.A[:, idx])
-
-    @property
-    def s(self) -> int:
-        return self.support.size
-
-
-def _check_interior(rp: ReducedProblem, u) -> np.ndarray:
+def _check_interior(rp: Problem, u) -> np.ndarray:
     u = np.asarray(u, dtype=float).ravel()
-    if u.shape[0] != rp.s:
-        raise DimensionMismatch(f"u has length {u.shape[0]}, expected {rp.s}")
+    if u.shape[0] != rp.n:
+        raise DimensionMismatch(f"u has length {u.shape[0]}, expected {rp.n}")
     if np.any(u == 0.0):
         raise ZeroEntry("u has a zero entry (left the manifold interior)")
     return u
 
 
-def phi_value(rp: ReducedProblem, u) -> float:
+def phi_value(rp: Problem, u) -> float:
     u = _check_interior(rp, u)
-    gamma = rp.parent.gamma
-    res = rp.a_cols @ u - rp.parent.b
-    rat = gamma * np.abs(u).sum() / np.linalg.norm(u)
-    if rp.parent.fidelity is Fidelity.LEAST_SQUARES:
-        return float(rat + 0.5 * res @ res)
-    return float(rat + np.linalg.norm(res))
+    rat = rp.gamma * np.abs(u).sum() / np.linalg.norm(u)
+    return float(rat) + fidelity_value(rp, rp.A @ u - rp.b)
 
 
-def phi_grad(rp: ReducedProblem, u) -> np.ndarray:
+def phi_grad(rp: Problem, u) -> np.ndarray:
     u = _check_interior(rp, u)
-    gamma = rp.parent.gamma
     a = np.abs(u).sum()
     r = np.linalg.norm(u)
-    res = rp.a_cols @ u - rp.parent.b
-    if rp.parent.fidelity is Fidelity.LEAST_SQUARES:
-        fit = rp.a_cols.T @ res
-    else:
-        nrm = np.linalg.norm(res)
-        if nrm == 0.0:
-            raise SingularResidual("residual-norm gradient undefined at Au = b")
-        fit = rp.a_cols.T @ (res / nrm)
-    return gamma * (np.sign(u) / r - (a / r**3) * u) + fit
+    return rp.gamma * (np.sign(u) / r - (a / r**3) * u) + fidelity_grad(rp, u)
 
 
-def hessian(rp: ReducedProblem, u) -> np.ndarray:
+def hessian(rp: Problem, u) -> np.ndarray:
     """Generalized Hessian V - Q of phi at u, an s x s matrix."""
     u = _check_interior(rp, u)
-    gamma = rp.parent.gamma
     a = float(np.abs(u).sum())
     r = float(np.linalg.norm(u))
     sgn = np.sign(u)
-    if rp.parent.fidelity is Fidelity.LEAST_SQUARES:
-        v_block = rp.a_cols.T @ rp.a_cols
+    if rp.fidelity is Fidelity.LEAST_SQUARES:
+        v_block = rp.A.T @ rp.A
     else:
-        res = rp.a_cols @ u - rp.parent.b
+        res = rp.A @ u - rp.b
         nrm = np.linalg.norm(res)
         if nrm == 0.0:
             raise SingularResidual("residual-norm Hessian undefined at Au = b")
-        g = rp.a_cols.T @ res
-        v_block = (rp.a_cols.T @ rp.a_cols - np.outer(g, g) / nrm**2) / nrm
+        g = rp.A.T @ res
+        v_block = (rp.A.T @ rp.A - np.outer(g, g) / nrm**2) / nrm
     outer = np.outer(u, sgn)
-    q = (gamma / r**3) * (
+    q = (rp.gamma / r**3) * (
         outer + outer.T - (3.0 * a / r**2) * np.outer(u, u) + a * np.eye(u.size)
     )
     return v_block - q
@@ -160,7 +121,7 @@ def direction_from_hessian(H: np.ndarray, grad: np.ndarray,
     return -grad / cfg.b_scale, DirectionKind.FALLBACK
 
 
-def newton_direction(rp: ReducedProblem, u, grad, cfg: NewtonConfig):
+def newton_direction(rp: Problem, u, grad, cfg: NewtonConfig):
     return direction_from_hessian(hessian(rp, u), np.asarray(grad, float), cfg)
 
 
@@ -182,7 +143,7 @@ def backtrack(phi, u, d, grad, cfg: NewtonConfig, guard=None,
                           alpha=alpha)
 
 
-def armijo(rp: ReducedProblem, u, d, grad, cfg: NewtonConfig):
+def armijo(rp: Problem, u, d, grad, cfg: NewtonConfig):
     """Armijo step on phi with the manifold guard (no exact-zero entries)."""
     u = _check_interior(rp, u)
     return backtrack(
@@ -209,7 +170,7 @@ class SsnTrace:
         return self.stop_reason == "stall"
 
 
-def run_ssnewton(rp: ReducedProblem, u0, cfg: NewtonConfig = NewtonConfig()):
+def run_ssnewton(rp: Problem, u0, cfg: NewtonConfig = NewtonConfig()):
     """Direction + line search until the gradient tolerance, the cap or a
     line-search stall."""
     u = _check_interior(rp, u0).copy()

@@ -12,7 +12,8 @@ to the solver: ratiopt.ssnewton.hessian builds V - Q directly.  q_spectrum
 and pd_gamma_bound share no code with it; q_from_hessian reads the
 library's Q back out of hessian for them to check.  stationary_instance
 uses the bound to build reduced problems with a known nondegenerate
-stationary point.
+stationary point.  A reduced problem is an ordinary Problem on the
+support's columns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ratiopt.model import Problem
-from ratiopt.ssnewton import ReducedProblem, hessian
+from ratiopt.ssnewton import hessian
 
 
 def q_spectrum(gamma: float, u):
@@ -35,10 +36,10 @@ def q_spectrum(gamma: float, u):
     return scale * (a - disc) / 2.0, scale * (a + disc) / 2.0, scale * a
 
 
-def q_from_hessian(rp: ReducedProblem, u) -> np.ndarray:
+def q_from_hessian(rp: Problem, u) -> np.ndarray:
     """The library's Q, read as V - hessian(rp, u) on a least-squares rp,
-    whose block V = a_cols^T a_cols is known."""
-    return rp.a_cols.T @ rp.a_cols - hessian(rp, u)
+    whose block V = A^T A is known."""
+    return rp.A.T @ rp.A - hessian(rp, u)
 
 
 def pd_gamma_bound(v_block, u) -> float:
@@ -58,8 +59,9 @@ def pd_gamma_bound(v_block, u) -> float:
 
 
 def stationary_instance(seed, m=40, n=60):
-    """Instance whose reduced problem has a known interior stationary point
-    with a positive definite Hessian (gamma below the guarantee bound)."""
+    """Problem on s random columns of a random m x n matrix, with a known
+    interior stationary point u_star and a positive definite Hessian there
+    (gamma below the guarantee bound); returns it with u_star and the rng."""
     rng = np.random.default_rng(seed)
     s = int(rng.integers(3, 12))
     A = rng.standard_normal((m, n)) / np.sqrt(m)
@@ -72,6 +74,4 @@ def stationary_instance(seed, m=40, n=60):
     r = np.linalg.norm(u_star)
     t = np.sign(u_star) / r - (a / r**3) * u_star
     b = a_cols @ (u_star + np.linalg.solve(V, gamma * t))
-    p = Problem(A=A, b=b, gamma=gamma)
-    rp = ReducedProblem(p, idx)
-    return rp, u_star, rng
+    return Problem(A=a_cols, b=b, gamma=gamma), u_star, rng

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from prox_oracle import oracle_value
-from ratiopt.admm import AdmmState, run_admm, run_admm_l1_baseline
+from ratiopt.admm import AdmmState, run_admm
 from ratiopt.cli import main as cli_main
 from ratiopt.expkit.generate import SynthSpec
-from ratiopt.expkit.metrics import iacc, rerr, tmse
+from ratiopt.expkit.metrics import iacc, rerr
 from ratiopt.expkit.profiles import performance_profile
 from ratiopt.expkit.realdata import smoke_dataset_path
 from ratiopt.expkit.studies import (
@@ -40,13 +40,7 @@ from ratiopt.prox import (
     prox_l1_over_l2,
     soft_threshold,
 )
-from ratiopt.ssnewton import (
-    ReducedProblem,
-    hessian,
-    phi_grad,
-    phi_value,
-    run_ssnewton,
-)
+from ratiopt.ssnewton import hessian, phi_grad, phi_value, run_ssnewton
 from reduced_oracle import q_from_hessian, q_spectrum, stationary_instance
 
 SEEDS = range(10)
@@ -175,8 +169,7 @@ def _random_reduced(rng, s=None):
     A = rng.standard_normal((m, s + int(rng.integers(0, 4))))
     b = rng.standard_normal(m)
     u = (0.5 + rng.random(s)) * rng.choice([-1.0, 1.0], s)
-    p = Problem(A=A, b=b, gamma=float(10.0 ** rng.uniform(-3, -1)))
-    rp = ReducedProblem(p, np.arange(s))
+    rp = Problem(A=A[:, :s], b=b, gamma=float(10.0 ** rng.uniform(-3, -1)))
     return rp, u
 
 
@@ -205,7 +198,7 @@ def test_05_reduced_calculus():
     for _ in range(200):
         s = int(rng.integers(2, 31))
         rp, u = _random_reduced(rng, s=s)
-        lam1, lam2, lam_rest = q_spectrum(rp.parent.gamma, u)
+        lam1, lam2, lam_rest = q_spectrum(rp.gamma, u)
         predicted = np.sort(np.r_[lam1, lam2, np.full(s - 2, lam_rest)])
         actual = np.linalg.eigvalsh(q_from_hessian(rp, u))
         if np.max(np.abs(predicted - actual)) > 1e-10:

@@ -177,8 +177,27 @@ class TestSolveCommand:
         assert code == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--m", "abc"], "bad value for key 'm'"),
+        (["solve", "--bogus", "1"], "unrecognized arguments"),
+        ([], "required"),
+    ], ids=["bad_value", "unknown_flag", "no_command"])
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        # 2 means "did not converge", so argparse's usage exit 2 is remapped
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_version_and_help_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+
     def test_missing_required_key_exit_1(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "o")]) == 1
+        # the instance shape is required too
+        assert main(["solve", *SOLVE_ARGS[:2], *SOLVE_ARGS[-4:],
+                     "--out", str(tmp_path / "o")]) == 1
 
     def test_unknown_solver_exit_1(self, tmp_path):
         code = main(["solve", *SOLVE_ARGS, "--solver", "bogus",
@@ -334,3 +353,13 @@ class TestRealdataCommand:
         code = main(["realdata", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["", "bmi,target\n"],
+                             ids=["empty", "header_only"])
+    def test_no_data_rows_exit_1(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code = main(["realdata", "--data", str(data),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: CSV file {data}" in capsys.readouterr().err

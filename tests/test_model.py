@@ -90,10 +90,14 @@ class TestConfigs:
         assert cfg.grad_tol == 1e-11 and cfg.ssn_max == 2500
 
     def test_newton_validation(self):
-        with pytest.raises(ValueError):
+        # the method's constants lie where its convergence theory needs them,
+        # and only the iteration cap is a setting
+        assert 0.0 < NewtonConfig.mu < 0.5
+        for value in (NewtonConfig.eta, NewtonConfig.nu, NewtonConfig.delta):
+            assert 0.0 < value < 1.0
+        assert NewtonConfig.b_scale > 0.0
+        with pytest.raises(TypeError):
             NewtonConfig(mu=0.5)
-        with pytest.raises(ValueError):
-            NewtonConfig(delta=1.0)
 
     def test_solver_defaults(self):
         cfg = SolverConfig(beta=0.015)
