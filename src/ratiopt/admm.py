@@ -207,7 +207,7 @@ def _run_loop(p, cfg, x0, x_step, support_window, record, ratio_model):
     y_step = _make_y_step(p, cfg)
     bound_coef = np.nan
     if record and ratio_model and p.fidelity is Fidelity.LEAST_SQUARES:
-        L = trace.lipschitz = lipschitz_estimate(p, seed=cfg.seed)
+        L = trace.lipschitz = lipschitz_estimate(p)
         bound_coef = L * L / beta + beta
     while not trace.stop_reason:
         x, y, z = st.x, st.y, st.z

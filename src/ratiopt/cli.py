@@ -2,13 +2,13 @@
 
 Configuration is flat key=value text; every key can be overridden by a
 flag, and RATIOPT_SEED overrides a config-file seed (flag > env > file).
-Every output file embeds a RunManifest whose hash covers the command, the
-resolved configuration, the seed, and the toolkit version (timestamps are
-excluded), so identical manifests mean identical single-threaded results.
+Each command writes a JSON report and a CSV table that embed a RunManifest
+listing both files, whose hash covers the command, the resolved
+configuration, the seed, and the toolkit version (timestamps are excluded),
+so identical manifests mean identical single-threaded results.
 
-Exit codes: 0 success, 1 usage/config/data error, 2 iteration-cap exit,
-or a Newton phase that stalled or hit its iteration cap above its gradient
-tolerance.
+Exit codes: 0 success, 1 usage/config/data error, 2 an ADMM run that hit its
+iteration cap, or a two-phase run that is not HafamReport.converged.
 """
 
 from __future__ import annotations
@@ -130,9 +130,7 @@ def resolve_config(args, defaults: dict) -> dict:
         if flag is not None and key != "preset":
             cfg[key] = flag
     env_seed = os.environ.get("RATIOPT_SEED")
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    elif env_seed is not None:
+    if getattr(args, "seed", None) is None and env_seed is not None:
         cfg["seed"] = _coerce("seed", env_seed)
     cfg.setdefault("seed", 0)
     return cfg
@@ -143,10 +141,10 @@ def resolve_config(args, defaults: dict) -> dict:
 
 @dataclasses.dataclass
 class RunManifest:
+    """One command run; its seed is config["seed"]."""
+
     command: str
     config: dict
-    seed: int
-    version: str
     started: str
     finished: str = ""
     outputs: tuple = ()
@@ -155,15 +153,26 @@ class RunManifest:
     def hash(self) -> str:
         payload = json.dumps(
             {"command": self.command, "config": self.config,
-             "seed": self.seed, "version": self.version},
+             "seed": self.config["seed"], "version": __version__},
             sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["outputs"] = list(self.outputs)
-        d["hash"] = self.hash
-        return d
+        return {"command": self.command, "config": self.config,
+                "seed": self.config["seed"], "version": __version__,
+                "started": self.started, "finished": self.finished,
+                "outputs": list(self.outputs), "hash": self.hash}
+
+    def write(self, out: str, csv_name: str, header, rows, json_name: str,
+              report: dict):
+        """Write the command's CSV table and JSON report into out; both
+        carry this manifest, which lists the two files."""
+        json_path = os.path.join(out, json_name)
+        csv_path = os.path.join(out, csv_name)
+        self.outputs = (json_path, csv_path)
+        _write_csv(csv_path, header, rows, self)
+        self.finished = _now()
+        _write_json(json_path, {"manifest": self.to_dict(), **report})
 
 
 def _now() -> str:
@@ -198,10 +207,11 @@ def _write_csv(path: str, header, rows, manifest: RunManifest):
         writer.writerows(rows)
 
 
-def _outdir(args, command: str) -> str:
+def _start(args, command: str, cfg: dict):
+    """The run's manifest and its output directory, created here."""
     out = args.out or f"ratiopt-{command}-out"
     os.makedirs(out, exist_ok=True)
-    return out
+    return RunManifest(command, cfg, _now()), out
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +241,28 @@ def _initial_point(cfg: dict, n: int) -> np.ndarray:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(beta=cfg["beta"], seed=cfg["seed"],
+    return SolverConfig(beta=cfg["beta"],
                         **_given(cfg, ("T", "tau", "imax", "rel_tol")))
 
 
 def _run_solver(p: Problem, cfg: dict, record=False):
-    """Returns (x, iterations, trace, converged); the trace holds
-    per-iteration series only with record=True."""
+    """Returns (x, iterations, converged, admm_trace, tran_it).  The ADMM
+    trace is phase one's for hafam and holds per-iteration series only with
+    record=True; tran_it is None for the one-phase solvers."""
     scfg = _solver_config(cfg)
     x0 = _initial_point(cfg, p.n)
     solver = cfg.get("solver", "hafam")
-    if solver == "admm":
-        st, tr = run_admm(p, scfg, x0, record=record)
-        return st.x, st.k, tr, tr.stop_reason != "imax"
-    if solver == "admm-l1":
-        st, tr = run_admm_l1_baseline(p, scfg, x0, record=record)
-        return st.x, st.k, tr, tr.stop_reason != "imax"
     if solver == "hafam":
         # an explicit positive tau beats the mass-fraction rule
         tau_frac = cfg.get("tau_frac") if scfg.tau <= 0.0 else None
         rep = run_hafam(p, scfg, x0, tau_frac=tau_frac, record=record)
-        tr2 = rep.phase2_trace
-        converged = tr2 is not None and tr2.stop_reason == "grad_tol"
-        return rep.x_final, rep.total_it, rep, converged
-    raise ConfigError(f"unknown solver '{solver}'")
+        return (rep.x_final, rep.total_it, rep.converged, rep.phase1_trace,
+                rep.tran_it)
+    one_phase = {"admm": run_admm, "admm-l1": run_admm_l1_baseline}
+    if solver not in one_phase:
+        raise ConfigError(f"unknown solver '{solver}'")
+    st, tr = one_phase[solver](p, scfg, x0, record=record)
+    return st.x, st.k, tr.stop_reason != "imax", tr, None
 
 
 def cmd_solve(args) -> int:
@@ -262,11 +270,9 @@ def cmd_solve(args) -> int:
     for key in ("family", "m", "n", "s", "coherence", "gamma", "beta"):
         if key not in cfg:
             raise ConfigError(f"missing required key '{key}'")
-    manifest = RunManifest(command="solve", config=cfg, seed=cfg["seed"],
-                           version=__version__, started=_now())
-    out = _outdir(args, "solve")
+    manifest, out = _start(args, "solve", cfg)
     p, xstar = _build_synthetic(cfg)
-    x, iters, result, converged = _run_solver(p, cfg, record=True)
+    x, iters, converged, trace, tran_it = _run_solver(p, cfg, record=True)
     nnz = int(np.count_nonzero(x))
     try:
         cert = certificate(p, x)
@@ -275,29 +281,22 @@ def cmd_solve(args) -> int:
         cert = Certificate(math.nan, math.nan, math.nan)
     margin = cert.margin if cert.kkt_residual <= 1e-6 else None
     rec = rerr(x, xstar)
-    report_path = os.path.join(out, "report.json")
-    series_path = os.path.join(out, "series.csv")
-    manifest.outputs = (report_path, series_path)
-    trace = result.phase1_trace if hasattr(result, "phase1_trace") else result
     rows = [
         (k + 1, trace.relerr[k], trace.y_residual[k], trace.objective[k],
          trace.kkt_upper_bound[k], trace.grad_gap[k],
          trace.subgrad_distance[k], len(trace.support[k]))
         for k in range(len(trace.relerr))
     ]
-    _write_csv(series_path,
-               ("iteration", "relerr", "y_residual", "objective",
-                "kkt_upper_bound", "grad_gap", "subgrad_distance", "nnz"),
-               rows, manifest)
-    manifest.finished = _now()
-    _write_json(report_path, {
-        "manifest": manifest.to_dict(),
-        "rerr": rec, "kkt_residual": cert.kkt_residual, "nnz": nnz,
-        "subgradient_distance": cert.subgradient_distance,
-        "nondegeneracy_margin": margin,
-        "iterations": iters, "converged": converged,
-        "tran_it": getattr(result, "tran_it", None),
-    })
+    manifest.write(
+        out, "series.csv",
+        ("iteration", "relerr", "y_residual", "objective", "kkt_upper_bound",
+         "grad_gap", "subgrad_distance", "nnz"), rows,
+        "report.json", {
+            "rerr": rec, "kkt_residual": cert.kkt_residual, "nnz": nnz,
+            "subgradient_distance": cert.subgradient_distance,
+            "nondegeneracy_margin": margin,
+            "iterations": iters, "converged": converged, "tran_it": tran_it,
+        })
     print(f"RErr={rec:.3e} KKT_R={cert.kkt_residual:.3e} nnz={nnz} "
           f"iters={iters}")
     return 0 if converged else 2
@@ -310,27 +309,22 @@ def cmd_identify(args) -> int:
     cfg = resolve_config(args, PRESETS["sec5b-identify"])
     if not (cfg["m_list"] and cfg["s_list"] and cfg["T_list"]):
         raise ConfigError("identification grid must be nonempty")
-    manifest = RunManifest(command="identify", config=cfg, seed=cfg["seed"],
-                           version=__version__, started=_now())
-    out = _outdir(args, "identify")
+    manifest, out = _start(args, "identify", cfg)
     seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
     result = finite_identification_study(
         cfg["m_list"], cfg["s_list"], cfg["T_list"], n=cfg["n"], seeds=seeds,
         gamma=cfg["gamma"], beta=cfg["beta"], **_given(cfg, ("imax",)))
-    csv_path = os.path.join(out, "identify_heatmap.csv")
-    manifest.outputs = (csv_path,)
     rows = [(c.m, c.s, c.T, f"{c.sparsity_level:.6f}",
              f"{c.sample_level:.6f}", f"{c.mean_iacc:.6f}", c.n_ok,
              c.n_failed) for c in result.cells]
-    _write_csv(csv_path,
-               ("m", "s", "T", "s_over_m", "m_over_mmax", "mean_iacc",
-                "runs_ok", "runs_failed"), rows, manifest)
-    manifest.finished = _now()
-    _write_json(os.path.join(out, "identify_report.json"), {
-        "manifest": manifest.to_dict(),
-        "failures": result.failures,
-        "min_mean_iacc": min(c.mean_iacc for c in result.cells),
-    })
+    manifest.write(
+        out, "identify_heatmap.csv",
+        ("m", "s", "T", "s_over_m", "m_over_mmax", "mean_iacc", "runs_ok",
+         "runs_failed"), rows,
+        "identify_report.json", {
+            "failures": result.failures,
+            "min_mean_iacc": min(c.mean_iacc for c in result.cells),
+        })
     for c in result.cells:
         print(f"m={c.m} s={c.s} T={c.T} IAcc={c.mean_iacc:.4f}")
     return 0 if not result.failures else 1
@@ -346,7 +340,7 @@ def _profile_solvers(cfg: dict):
 
     def solver(name):
         def fn(p, x0):
-            x, _, _, converged = _run_solver(p, dict(cfg, solver=name))
+            x, _, converged, _, _ = _run_solver(p, dict(cfg, solver=name))
             if not converged:
                 raise RatioptError(f"{name} did not converge")
             return x
@@ -362,35 +356,28 @@ def _profile_solvers(cfg: dict):
 
 def cmd_profile(args) -> int:
     cfg = resolve_config(args, PRESETS["fig2-profiles"])
-    manifest = RunManifest(command="profile", config=cfg, seed=cfg["seed"],
-                           version=__version__, started=_now())
-    out = _outdir(args, "profile")
+    manifest, out = _start(args, "profile", cfg)
     problems = []
     for family, coh in (("gaussian", 0.8), ("odct", 10.0)):
         for s in cfg["s_list"]:
             for i in range(cfg["seeds"]):
-                spec = SynthSpec(family=family, m=cfg["m"], n=cfg["n"], s=s,
-                                 coherence=coh, dynamic_D=cfg["dynamic_D"],
-                                 seed=cfg["seed"] + i)
-                A, b, _ = spec.build()
-                p = Problem(A=A, b=b, gamma=cfg["gamma"])
+                p, _ = _build_synthetic(dict(cfg, family=family, s=s,
+                                             coherence=coh,
+                                             seed=cfg["seed"] + i))
                 problems.append((p, _initial_point(cfg, p.n)))
     solvers = _profile_solvers(cfg)
     t = profile_times(problems, solvers)
     taus, pi = performance_profile(t)
-    csv_path = os.path.join(out, "profile_curves.csv")
-    manifest.outputs = (csv_path,)
     rows = [(f"{taus[i]:.8f}", solvers[j][0], f"{pi[i, j]:.6f}")
             for j in range(len(solvers)) for i in range(len(taus))]
-    _write_csv(csv_path, ("tau", "solver", "pi"), rows, manifest)
-    manifest.finished = _now()
-    _write_json(os.path.join(out, "profile_report.json"), {
-        "manifest": manifest.to_dict(),
-        "n_problems": len(problems),
-        "solvers": [name for name, _ in solvers],
-        "solved_fraction": {name: float(np.isfinite(t[:, j]).mean())
-                            for j, (name, _) in enumerate(solvers)},
-    })
+    manifest.write(
+        out, "profile_curves.csv", ("tau", "solver", "pi"), rows,
+        "profile_report.json", {
+            "n_problems": len(problems),
+            "solvers": [name for name, _ in solvers],
+            "solved_fraction": {name: float(np.isfinite(t[:, j]).mean())
+                                for j, (name, _) in enumerate(solvers)},
+        })
     print(f"profiled {len(problems)} problems x {len(solvers)} solvers")
     return 0
 
@@ -406,17 +393,12 @@ def cmd_realdata(args) -> int:
         raise ConfigError("missing required key 'data' (CSV path)")
     if not 0.0 < cfg["split_ratio"] < 1.0:
         raise ConfigError("split_ratio must lie in (0, 1)")
-    manifest = RunManifest(command="realdata", config=cfg, seed=cfg["seed"],
-                           version=__version__, started=_now())
-    out = _outdir(args, "realdata")
+    manifest, out = _start(args, "realdata", cfg)
     M, y, _ = load_csv(cfg["data"], cfg["target"])
-    scfg_proto = dict(cfg)
 
     def cv_solver(A, b, gamma):
-        p = Problem(A=A, b=b, gamma=gamma)
-        run_cfg = dict(scfg_proto, gamma=gamma, solver="hafam", init="randn")
-        x, _, _, _ = _run_solver(p, run_cfg)
-        return x
+        run_cfg = dict(cfg, gamma=gamma, solver="hafam", init="randn")
+        return _run_solver(Problem(A=A, b=b, gamma=gamma), run_cfg)[0]
 
     rows = []
     for rep_i in range(cfg["repetitions"]):
@@ -428,23 +410,20 @@ def cmd_realdata(args) -> int:
                                          cfg["folds"], cv_solver)
         p = Problem(A=ds.A_train, b=ds.b_train, gamma=gamma)
         for solver in ("admm", "admm-l1", "hafam"):
-            run_cfg = dict(scfg_proto, gamma=gamma, solver=solver,
-                           init="randn", seed=seed)
+            run_cfg = dict(cfg, gamma=gamma, solver=solver, init="randn",
+                           seed=seed)
             tic = time.perf_counter()
-            x, iters, _, converged = _run_solver(p, run_cfg)
+            x, iters, converged, _, _ = _run_solver(p, run_cfg)
             cpu = time.perf_counter() - tic
             rows.append((rep_i, solver, f"{gamma:.3e}",
                          f"{tmse(ds.A_test, ds.b_test, x):.6e}",
                          int(np.count_nonzero(x)), iters, int(converged),
                          f"{cpu:.3f}"))
-    csv_path = os.path.join(out, "realdata_table.csv")
-    manifest.outputs = (csv_path,)
-    _write_csv(csv_path,
-               ("repetition", "solver", "gamma", "tmse", "nnz", "iterations",
-                "converged", "cpu_seconds"), rows, manifest)
-    manifest.finished = _now()
-    _write_json(os.path.join(out, "realdata_report.json"),
-                {"manifest": manifest.to_dict(), "rows": rows})
+    manifest.write(
+        out, "realdata_table.csv",
+        ("repetition", "solver", "gamma", "tmse", "nnz", "iterations",
+         "converged", "cpu_seconds"), rows,
+        "realdata_report.json", {"rows": rows})
     for row in rows:
         print(" ".join(str(v) for v in row))
     return 0

@@ -40,10 +40,6 @@ class FactorizationFailure(RatioptError):
 class LineSearchStall(RatioptError):
     """Backtracking line search exceeded its backtrack budget."""
 
-    def __init__(self, message, alpha=None):
-        super().__init__(message)
-        self.alpha = alpha
-
 
 class EmptySupportAfterShrink(RatioptError):
     """Hard shrinkage removed every entry; tau is too large."""

@@ -116,12 +116,7 @@ def noisy_tau_study(spec_base: SynthSpec, tau_list, seeds, *, gamma: float,
     """
     runs = []
     for seed in seeds:
-        spec = SynthSpec(family=spec_base.family, m=spec_base.m,
-                         n=spec_base.n, s=spec_base.s,
-                         coherence=spec_base.coherence,
-                         dynamic_D=spec_base.dynamic_D,
-                         noise_sigma=spec_base.noise_sigma, seed=seed)
-        A, b, xstar = spec.build()
+        A, b, xstar = replace(spec_base, seed=seed).build()
         p = Problem(A=A, b=b, gamma=gamma, cone=Cone.FREE,
                     fidelity=Fidelity.LEAST_SQUARES)
         cfg = SolverConfig(beta=beta, T=T, imax=imax)

@@ -53,6 +53,12 @@ class HafamReport:
         return self.phase2_trace is None
 
     @property
+    def converged(self) -> bool:
+        """Newton ran and stopped on grad_tol, not on its cap or a stall."""
+        return (not self.phase2_skipped
+                and self.phase2_trace.stop_reason == "grad_tol")
+
+    @property
     def total_it(self) -> int:
         newton = 0 if self.phase2_skipped else self.phase2_trace.iterations
         return self.tran_it + newton

@@ -142,7 +142,6 @@ class SolverConfig:
     imax: int = 2000
     rel_tol: float = 1e-8
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -195,8 +194,8 @@ _POWER_CHANGE_TOL = 1e-6 * 1e-3
 _POWER_MAX_ITERS = 10000
 
 
-def lipschitz_estimate(p: Problem, seed: int = 0) -> float:
-    """Largest eigenvalue of A^T A by seeded power iteration.
+def lipschitz_estimate(p: Problem) -> float:
+    """Largest eigenvalue of A^T A by power iteration from a fixed start.
 
     Only meaningful for the least-squares fidelity: the residual-norm
     gradient has no global curvature bound, so callers must supply beta
@@ -208,7 +207,7 @@ def lipschitz_estimate(p: Problem, seed: int = 0) -> float:
             "choose beta explicitly"
         )
     A = p.A
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(0))
     v = rng.standard_normal(p.n)
     v /= np.linalg.norm(v)
     lam = 0.0

@@ -139,8 +139,7 @@ def backtrack(phi, u, d, grad, cfg: NewtonConfig, guard=None,
             if phi(u_next) <= base + cfg.mu * alpha * slope:
                 return alpha, u_next
         alpha *= cfg.delta
-    raise LineSearchStall("Armijo backtracking exceeded its budget",
-                          alpha=alpha)
+    raise LineSearchStall("Armijo backtracking exceeded its budget")
 
 
 def armijo(rp: Problem, u, d, grad, cfg: NewtonConfig):

@@ -81,14 +81,14 @@ class TestConfigFile:
 
 class TestManifest:
     def test_hash_ignores_timestamps(self):
-        a = RunManifest("solve", {"gamma": 1e-3}, 0, "0.1.0", "t1")
-        b = RunManifest("solve", {"gamma": 1e-3}, 0, "0.1.0", "t2",
+        a = RunManifest("solve", {"gamma": 1e-3, "seed": 0}, "t1")
+        b = RunManifest("solve", {"gamma": 1e-3, "seed": 0}, "t2",
                         finished="t3")
         assert a.hash == b.hash
 
     def test_hash_covers_config(self):
-        a = RunManifest("solve", {"gamma": 1e-3}, 0, "0.1.0", "t")
-        b = RunManifest("solve", {"gamma": 1e-4}, 0, "0.1.0", "t")
+        a = RunManifest("solve", {"gamma": 1e-3, "seed": 0}, "t")
+        b = RunManifest("solve", {"gamma": 1e-4, "seed": 0}, "t")
         assert a.hash != b.hash
 
 
@@ -299,6 +299,21 @@ class TestProfileCommand:
         assert [name for name, _ in solvers] == ["admm", "hafam"]
         assert np.all(np.isfinite(t))
 
+    def test_noise_sigma_reaches_instances(self, tmp_path, monkeypatch):
+        # profile builds its instances like solve, so noise_sigma is used
+        rhs = []
+
+        def fake_times(problems, solvers):
+            rhs.append([p.b for p, _ in problems])
+            return np.ones((len(problems), len(solvers)))
+
+        monkeypatch.setattr(cli, "profile_times", fake_times)
+        for sigma in ("0", "0.05"):
+            assert main([*self.ARGS, "--noise-sigma", sigma,
+                         "--out", str(tmp_path / sigma)]) == 0
+        assert len(rhs[0]) == 2
+        assert not any(np.array_equal(a, b) for a, b in zip(*rhs))
+
     def test_newton_cap_counts_as_failure(self, monkeypatch):
         # a Newton phase that ends at ssn_max above grad_tol did not
         # converge, so the profile gives the two-phase solver no time
@@ -363,3 +378,23 @@ class TestRealdataCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"error: CSV file {data}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, report_name, table_name", [
+    (["solve", *SOLVE_ARGS], "report.json", "series.csv"),
+    (["identify", "--m-list", "24", "--s-list", "2", "--T-list", "5",
+      "--seeds", "1", "--n", "64"],
+     "identify_report.json", "identify_heatmap.csv"),
+    (TestProfileCommand.ARGS, "profile_report.json", "profile_curves.csv"),
+    (["realdata", "--data", str(smoke_dataset_path()), "--gamma", "1e-3"],
+     "realdata_report.json", "realdata_table.csv"),
+], ids=["solve", "identify", "profile", "realdata"])
+def test_manifest_lists_both_files(tmp_path, argv, report_name, table_name):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    report_path, table_path = tmp_path / report_name, tmp_path / table_name
+    manifest = strict_json(report_path)["manifest"]
+    assert sorted(manifest["outputs"]) == sorted([str(report_path),
+                                                  str(table_path)])
+    assert report_path.is_file() and table_path.is_file()
+    first, _, _ = read_csv(table_path)
+    assert first == f"# manifest_hash={manifest['hash']}\n"

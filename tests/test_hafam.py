@@ -8,7 +8,7 @@ import pytest
 from ratiopt.admm import AdmmState, run_admm
 from ratiopt.exceptions import EmptySupportAfterShrink
 from ratiopt.hafam import run_hafam
-from ratiopt.model import Problem, SolverConfig, objective
+from ratiopt.model import NewtonConfig, Problem, SolverConfig, objective
 
 
 def make_problem(seed=0, m=24, n=80, s=4, gamma=1e-2):
@@ -150,3 +150,31 @@ class TestRunHafam:
         p, _ = make_problem(8)
         rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
         assert not rep.phase2_skipped
+
+
+class TestConverged:
+    """HafamReport.converged: Newton ran and stopped on grad_tol."""
+
+    def test_grad_tol(self):
+        p, _ = make_problem(0)
+        rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
+        assert rep.phase2_trace.stop_reason == "grad_tol"
+        assert rep.converged
+
+    def test_phase_one_cap_skips_newton(self):
+        p, _ = make_problem(4)
+        rep = run_hafam(p, SolverConfig(beta=0.1, T=5, imax=2), np.zeros(p.n))
+        assert rep.phase2_skipped and not rep.converged
+
+    def test_newton_cap(self):
+        p, _ = make_problem(0)
+        cfg = SolverConfig(beta=0.1, T=5, newton=NewtonConfig(ssn_max=1))
+        rep = run_hafam(p, cfg, np.zeros(p.n))
+        assert rep.phase2_trace.stop_reason == "cap"
+        assert not rep.converged
+
+    def test_stall(self):
+        p, _ = make_problem(0)
+        rep = run_hafam(p, SolverConfig(beta=0.1, T=5), np.zeros(p.n))
+        rep.phase2_trace.stop_reason = "stall"
+        assert not rep.converged
