@@ -245,12 +245,12 @@ def _solver_config(cfg: dict) -> SolverConfig:
                         **_given(cfg, ("T", "tau", "imax", "rel_tol")))
 
 
-def _run_solver(p: Problem, cfg: dict, record=False):
-    """Returns (x, iterations, converged, admm_trace, tran_it).  The ADMM
-    trace is phase one's for hafam and holds per-iteration series only with
-    record=True; tran_it is None for the one-phase solvers."""
+def _run_solver(p: Problem, cfg: dict, x0, record=False):
+    """Solves p from x0; returns (x, iterations, converged, admm_trace,
+    tran_it).  The ADMM trace is phase one's for hafam and holds
+    per-iteration series only with record=True; tran_it is None for the
+    one-phase solvers."""
     scfg = _solver_config(cfg)
-    x0 = _initial_point(cfg, p.n)
     solver = cfg.get("solver", "hafam")
     if solver == "hafam":
         # an explicit positive tau beats the mass-fraction rule
@@ -272,7 +272,8 @@ def cmd_solve(args) -> int:
             raise ConfigError(f"missing required key '{key}'")
     manifest, out = _start(args, "solve", cfg)
     p, xstar = _build_synthetic(cfg)
-    x, iters, converged, trace, tran_it = _run_solver(p, cfg, record=True)
+    x, iters, converged, trace, tran_it = _run_solver(
+        p, cfg, _initial_point(cfg, p.n), record=True)
     nnz = int(np.count_nonzero(x))
     try:
         cert = certificate(p, x)
@@ -334,13 +335,13 @@ def cmd_identify(args) -> int:
 # profile
 
 def _profile_solvers(cfg: dict):
-    """(name, fn) pairs for profile_times.  Each fn solves through
-    _run_solver from the start point of cfg's init, the x0 that cmd_profile
-    pairs with every problem, and raises when the run did not converge."""
+    """(name, fn) pairs for profile_times; fn(p, x0) solves p from x0
+    through _run_solver and raises when the run did not converge."""
 
     def solver(name):
         def fn(p, x0):
-            x, _, converged, _, _ = _run_solver(p, dict(cfg, solver=name))
+            x, _, converged, _, _ = _run_solver(p, dict(cfg, solver=name),
+                                                x0)
             if not converged:
                 raise RatioptError(f"{name} did not converge")
             return x
@@ -398,7 +399,8 @@ def cmd_realdata(args) -> int:
 
     def cv_solver(A, b, gamma):
         run_cfg = dict(cfg, gamma=gamma, solver="hafam", init="randn")
-        return _run_solver(Problem(A=A, b=b, gamma=gamma), run_cfg)[0]
+        p = Problem(A=A, b=b, gamma=gamma)
+        return _run_solver(p, run_cfg, _initial_point(run_cfg, p.n))[0]
 
     rows = []
     for rep_i in range(cfg["repetitions"]):
@@ -413,7 +415,8 @@ def cmd_realdata(args) -> int:
             run_cfg = dict(cfg, gamma=gamma, solver=solver, init="randn",
                            seed=seed)
             tic = time.perf_counter()
-            x, iters, converged, _, _ = _run_solver(p, run_cfg)
+            x, iters, converged, _, _ = _run_solver(
+                p, run_cfg, _initial_point(run_cfg, p.n))
             cpu = time.perf_counter() - tic
             rows.append((rep_i, solver, f"{gamma:.3e}",
                          f"{tmse(ds.A_test, ds.b_test, x):.6e}",

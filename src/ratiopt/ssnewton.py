@@ -12,6 +12,10 @@ model; only the Hessian, which only Newton needs, is built here.  Q's
 closed-form spectrum and the gamma bound that makes V - Q positive
 definite belong to the analysis, not to the solver: tests/reduced_oracle.py
 holds them and the tests check hessian() against them.
+
+A run forms A^T A once, solves each shifted Newton system by Cholesky and
+evaluates phi once per point.  phi and its gradient stay on the residual
+A u - b, which the Gram form would lose to cancellation near a solution.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import (
     DimensionMismatch,
@@ -53,21 +58,21 @@ def phi_grad(rp: Problem, u) -> np.ndarray:
     return rp.gamma * (np.sign(u) / r - (a / r**3) * u) + fidelity_grad(rp, u)
 
 
-def hessian(rp: Problem, u) -> np.ndarray:
-    """Generalized Hessian V - Q of phi at u, an s x s matrix."""
+def hessian(rp: Problem, u, gram: np.ndarray) -> np.ndarray:
+    """Generalized Hessian V - Q of phi at u, s x s; gram = A^T A."""
     u = _check_interior(rp, u)
     a = float(np.abs(u).sum())
     r = float(np.linalg.norm(u))
     sgn = np.sign(u)
     if rp.fidelity is Fidelity.LEAST_SQUARES:
-        v_block = rp.A.T @ rp.A
+        v_block = gram
     else:
         res = rp.A @ u - rp.b
         nrm = np.linalg.norm(res)
         if nrm == 0.0:
             raise SingularResidual("residual-norm Hessian undefined at Au = b")
         g = rp.A.T @ res
-        v_block = (rp.A.T @ rp.A - np.outer(g, g) / nrm**2) / nrm
+        v_block = (gram - np.outer(g, g) / nrm**2) / nrm
     outer = np.outer(u, sgn)
     q = (rp.gamma / r**3) * (
         outer + outer.T - (3.0 * a / r**2) * np.outer(u, u) + a * np.eye(u.size)
@@ -80,38 +85,19 @@ class DirectionKind(Enum):
     FALLBACK = "fallback"
 
 
-def _cg(mat, rhs, max_iters, tol):
-    """Plain conjugate gradients; stops on tolerance, cap, or curvature loss."""
-    d = np.zeros_like(rhs)
-    res = rhs.copy()
-    p_dir = res.copy()
-    rr = float(res @ res)
-    for _ in range(max_iters):
-        if np.sqrt(rr) <= tol:
-            break
-        hp = mat @ p_dir
-        curv = float(p_dir @ hp)
-        if curv <= 0.0:
-            break
-        alpha = rr / curv
-        d = d + alpha * p_dir
-        res = res - alpha * hp
-        rr_new = float(res @ res)
-        p_dir = res + (rr_new / rr) * p_dir
-        rr = rr_new
-    return d
-
-
 def direction_from_hessian(H: np.ndarray, grad: np.ndarray,
                            cfg: NewtonConfig):
-    """Inexact perturbed-Newton direction with a scaled-gradient fallback."""
+    """Cholesky solution of (H + ||g|| I) d = -g, kept when it passes the
+    (eta, nu) test; otherwise, or when the shifted matrix is not positive
+    definite, the scaled gradient -g/b_scale."""
     gn = float(np.linalg.norm(grad))
     eta_j = min(cfg.eta, gn)
     nu_j = min(cfg.nu, gn)
-    eps = gn
-    s = grad.shape[0]
-    shifted = H + eps * np.eye(s)
-    d = _cg(shifted, -grad, max_iters=10 * s, tol=0.5 * eta_j * gn)
+    shifted = H + gn * np.eye(grad.shape[0])
+    try:
+        d = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), -grad)
+    except np.linalg.LinAlgError:
+        return -grad / cfg.b_scale, DirectionKind.FALLBACK
     # the perturbed system IS the Newton equation here, so its residual is
     # what the inexactness test must see; the shift itself vanishes with the
     # gradient and does not spoil the local rate
@@ -121,32 +107,39 @@ def direction_from_hessian(H: np.ndarray, grad: np.ndarray,
     return -grad / cfg.b_scale, DirectionKind.FALLBACK
 
 
-def newton_direction(rp: Problem, u, grad, cfg: NewtonConfig):
-    return direction_from_hessian(hessian(rp, u), np.asarray(grad, float), cfg)
+def newton_direction(rp: Problem, u, gram, grad, cfg: NewtonConfig):
+    return direction_from_hessian(hessian(rp, u, gram),
+                                  np.asarray(grad, float), cfg)
 
 
-def backtrack(phi, u, d, grad, cfg: NewtonConfig, guard=None,
+def backtrack(phi, u, base, d, grad, cfg: NewtonConfig, guard=None,
               max_backtracks=500):
-    """Armijo search alpha = delta^m; optional per-point guard predicate."""
+    """Armijo search alpha = delta^m from base = phi(u), with an optional
+    per-point guard predicate; returns (alpha, u_next, phi(u_next))."""
     slope = float(np.asarray(grad) @ np.asarray(d))
     if not slope < 0.0:
         raise ValueError("search direction is not a descent direction")
-    base = phi(u)
+    # phi is known only to within a few ulps of base; when the predicted
+    # decrease is smaller, any trial within that rounding of base is accepted
+    noise = 4.0 * np.finfo(float).eps * abs(base)
+    below_noise = -slope <= noise
     alpha = 1.0
     for _ in range(max_backtracks + 1):
         u_next = u + alpha * d
         if guard is None or guard(u_next):
-            if phi(u_next) <= base + cfg.mu * alpha * slope:
-                return alpha, u_next
+            value = phi(u_next)
+            slack = noise if below_noise else cfg.mu * alpha * slope
+            if value <= base + slack:
+                return alpha, u_next, value
         alpha *= cfg.delta
     raise LineSearchStall("Armijo backtracking exceeded its budget")
 
 
-def armijo(rp: Problem, u, d, grad, cfg: NewtonConfig):
-    """Armijo step on phi with the manifold guard (no exact-zero entries)."""
+def armijo(rp: Problem, u, value, d, grad, cfg: NewtonConfig):
+    """Armijo backtrack on phi from value = phi(u), guarded against zeros."""
     u = _check_interior(rp, u)
     return backtrack(
-        lambda w: phi_value(rp, w), u, np.asarray(d, float),
+        lambda w: phi_value(rp, w), u, value, np.asarray(d, float),
         np.asarray(grad, float), cfg,
         guard=lambda w: not np.any(w == 0.0),
     )
@@ -173,22 +166,24 @@ def run_ssnewton(rp: Problem, u0, cfg: NewtonConfig = NewtonConfig()):
     """Direction + line search until the gradient tolerance, the cap or a
     line-search stall."""
     u = _check_interior(rp, u0).copy()
+    gram = rp.A.T @ rp.A
+    value = phi_value(rp, u)
     trace = SsnTrace()
     while True:
         g = phi_grad(rp, u)
         gn = float(np.linalg.norm(g))
         trace.grad_norms.append(gn)
-        trace.values.append(phi_value(rp, u))
+        trace.values.append(value)
         if gn <= cfg.grad_tol:
             trace.stop_reason = "grad_tol"
             break
         if trace.iterations >= cfg.ssn_max:
             trace.stop_reason = "cap"
             break
-        d, kind = newton_direction(rp, u, g, cfg)
+        d, kind = newton_direction(rp, u, gram, g, cfg)
         trace.kinds.append(kind)
         try:
-            alpha, u = armijo(rp, u, d, g, cfg)
+            alpha, u, value = armijo(rp, u, value, d, g, cfg)
         except LineSearchStall:
             trace.stop_reason = "stall"
             break

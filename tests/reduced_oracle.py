@@ -39,7 +39,8 @@ def q_spectrum(gamma: float, u):
 def q_from_hessian(rp: Problem, u) -> np.ndarray:
     """The library's Q, read as V - hessian(rp, u) on a least-squares rp,
     whose block V = A^T A is known."""
-    return rp.A.T @ rp.A - hessian(rp, u)
+    gram = rp.A.T @ rp.A
+    return gram - hessian(rp, u, gram)
 
 
 def pd_gamma_bound(v_block, u) -> float:

@@ -188,7 +188,7 @@ def test_05_reduced_calculus():
             grad_ok = False
     for _ in range(100):
         rp, u = _random_reduced(rng)
-        H = hessian(rp, u)
+        H = hessian(rp, u, rp.A.T @ rp.A)
         v = rng.standard_normal(u.size)
         h = 1e-6
         hv_fd = (phi_grad(rp, u + h * v) - phi_grad(rp, u - h * v)) / (2 * h)

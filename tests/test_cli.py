@@ -314,6 +314,23 @@ class TestProfileCommand:
         assert len(rhs[0]) == 2
         assert not any(np.array_equal(a, b) for a, b in zip(*rhs))
 
+    def test_solvers_start_from_given_x0(self, monkeypatch):
+        # each solver starts from the x0 profile_times pairs with the problem
+        starts = []
+        for name in ("run_admm", "run_hafam"):
+            def spy(p, cfg, x0, *args, solve=getattr(cli, name), **kwargs):
+                starts.append(x0)
+                return solve(p, cfg, x0, *args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        p, _ = cli._build_synthetic(dict(
+            family="gaussian", m=24, n=96, s=3, coherence=0.8, gamma=1e-3,
+            seed=0))
+        x0 = np.full(p.n, 0.01)
+        solvers = cli._profile_solvers(dict(beta=0.05, seed=0, imax=20000))
+        cli.profile_times([(p, x0)], solvers)
+        assert len(starts) == 2 and all(s is x0 for s in starts)
+
     def test_newton_cap_counts_as_failure(self, monkeypatch):
         # a Newton phase that ends at ssn_max above grad_tol did not
         # converge, so the profile gives the two-phase solver no time

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from counting_matrix import CountingMatrix
 from ratiopt import ssnewton
 from ratiopt.exceptions import DimensionMismatch, LineSearchStall, ZeroEntry
 from ratiopt.model import Fidelity, NewtonConfig, Problem
@@ -98,7 +99,7 @@ class TestHessian:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((7, 10))
         rp = reduced(A, rng.standard_normal(7), 0.8, [0, 3, 6, 8])
-        H = hessian(rp, rng.standard_normal(4) + 1.0)
+        H = hessian(rp, rng.standard_normal(4) + 1.0, rp.A.T @ rp.A)
         assert np.max(np.abs(H - H.T)) <= 1e-12
 
     def test_trace_identity_and_bulk_eigenvalue(self):
@@ -122,7 +123,7 @@ class TestHessian:
         A = rng.standard_normal((9, 14))
         rp = reduced(A, rng.standard_normal(9), 0.4, [1, 4, 7, 11], fidelity)
         u = rng.standard_normal(4) + np.sign(rng.standard_normal(4))
-        H = hessian(rp, u)
+        H = hessian(rp, u, rp.A.T @ rp.A)
         v = rng.standard_normal(4)
         t = 1e-6
         hv = (phi_grad(rp, u + t * v) - phi_grad(rp, u)) / t
@@ -159,12 +160,25 @@ class TestNewtonDirection:
             assert np.linalg.norm(g + shifted @ d) <= min(cfg.eta, gn) * gn
             assert g @ d <= -min(cfg.nu, gn) * (d @ d)
 
+    def test_solves_shifted_system_to_roundoff(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            s = int(rng.integers(2, 30))
+            M = rng.standard_normal((s, s))
+            H = M @ M.T + 0.1 * np.eye(s)
+            g = rng.standard_normal(s)
+            g *= rng.uniform(0.5, 2.0) / np.linalg.norm(g)
+            d, kind = direction_from_hessian(H, g, NewtonConfig())
+            gn = np.linalg.norm(g)
+            assert kind is DirectionKind.INEXACT
+            assert np.linalg.norm(g + (H + gn * np.eye(s)) @ d) <= 1e-12 * gn
+
 
 class TestLineSearch:
     def test_full_step_on_quadratic(self):
         u = np.array([2.0, -1.0])
-        alpha, u_next = backtrack(lambda w: 0.5 * float(w @ w), u, -u, u,
-                                  NewtonConfig())
+        alpha, u_next, _ = backtrack(lambda w: 0.5 * float(w @ w), u, 2.5,
+                                     -u, u, NewtonConfig())
         assert alpha == 1.0 and u_next == pytest.approx([0.0, 0.0])
 
     def test_delta_powers(self):
@@ -177,19 +191,42 @@ class TestLineSearch:
         rp = reduced(A, rng.standard_normal(8), 0.3, [0, 2, 5, 9])
         u = rng.standard_normal(4) + np.sign(rng.standard_normal(4))
         g = phi_grad(rp, u)
-        alpha, u_next = armijo(rp, u, -g, g, NewtonConfig())
+        alpha, u_next, _ = armijo(rp, u, phi_value(rp, u), -g, g,
+                                  NewtonConfig())
         assert phi_value(rp, u_next) < phi_value(rp, u)
         assert not np.any(u_next == 0.0)
 
     def test_non_descent_rejected(self):
         with pytest.raises(ValueError):
-            backtrack(lambda w: float(w @ w), np.ones(2), np.ones(2),
+            backtrack(lambda w: float(w @ w), np.ones(2), 2.0, np.ones(2),
                       np.ones(2), NewtonConfig())
+
+    @pytest.mark.parametrize("slope, accepted", [(1e-9, True), (1.0, False)])
+    def test_rounding_floor(self, slope, accepted):
+        # every trial reads one ulp above base; the predicted decrease is
+        # slope^2.  At 1e-18 it is below phi's rounding and the full step is
+        # taken; at 1 it is resolvable and the search must still back off
+        base = 1.0
+        trials = []
+
+        def phi(w):
+            trials.append(w)
+            return np.nextafter(base, np.inf)
+
+        args = (phi, np.array([1.0]), base, np.array([-slope]),
+                np.array([slope]), NewtonConfig())
+        if accepted:
+            alpha, _, value = backtrack(*args, max_backtracks=10)
+            assert alpha == 1.0 and value == np.nextafter(base, np.inf)
+        else:
+            with pytest.raises(LineSearchStall):
+                backtrack(*args, max_backtracks=10)
+            assert len(trials) == 11
 
     def test_stall(self):
         # a guard that rejects every point exhausts the backtracking budget
         with pytest.raises(LineSearchStall):
-            backtrack(lambda w: 0.5 * float(w @ w), np.array([1.0]),
+            backtrack(lambda w: 0.5 * float(w @ w), np.array([1.0]), 0.5,
                       np.array([-1.0]), np.array([1.0]), NewtonConfig(),
                       guard=lambda w: False, max_backtracks=10)
 
@@ -210,6 +247,19 @@ class TestRunSsnewton:
         gns = tr.grad_norms
         ratios = [gns[i + 1] / gns[i] for i in range(len(gns) - 1)]
         assert all(r < 0.1 for r in ratios[-3:])
+
+    def test_products_with_A(self):
+        # one Gram matrix per run, one product for phi(u0), two per gradient
+        # and one per line-search trial; alpha = delta^m took m + 1 trials.
+        # From a point this small the first step falls back and backtracks.
+        rp, u_star, _ = stationary_instance(0)
+        counter = [0]
+        object.__setattr__(rp, "A", CountingMatrix.wrap(rp.A, counter))
+        _, tr = run_ssnewton(rp, 0.05 * u_star)
+        delta = NewtonConfig().delta
+        trials = sum(round(np.log(a) / np.log(delta)) + 1 for a in tr.alphas)
+        assert trials > len(tr.alphas)
+        assert counter[0] == 1 + 1 + 2 * len(tr.grad_norms) + trials
 
     def test_objective_trace_decreasing(self):
         rp, u_star, rng = stationary_instance(2)
