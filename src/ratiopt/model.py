@@ -120,10 +120,9 @@ class Problem:
 @dataclass(frozen=True)
 class NewtonConfig:
     """Globalized semismooth Newton phase: the iteration cap is its one
-    setting; the forcing (eta, nu), Armijo (mu, delta), fallback scale and
+    setting; the descent forcing nu, Armijo (mu, delta), fallback scale and
     gradient tolerance are constants of the method."""
 
-    eta: ClassVar[float] = 1e-3
     nu: ClassVar[float] = 1e-8
     mu: ClassVar[float] = 1e-8
     delta: ClassVar[float] = 0.95

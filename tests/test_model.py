@@ -85,7 +85,7 @@ class TestProblem:
 class TestConfigs:
     def test_newton_defaults(self):
         cfg = NewtonConfig()
-        assert cfg.eta == 1e-3 and cfg.nu == 1e-8 and cfg.mu == 1e-8
+        assert cfg.nu == 1e-8 and cfg.mu == 1e-8
         assert cfg.delta == 0.95 and cfg.b_scale == 0.1
         assert cfg.grad_tol == 1e-11 and cfg.ssn_max == 2500
 
@@ -93,7 +93,7 @@ class TestConfigs:
         # the method's constants lie where its convergence theory needs them,
         # and only the iteration cap is a setting
         assert 0.0 < NewtonConfig.mu < 0.5
-        for value in (NewtonConfig.eta, NewtonConfig.nu, NewtonConfig.delta):
+        for value in (NewtonConfig.nu, NewtonConfig.delta):
             assert 0.0 < value < 1.0
         assert NewtonConfig.b_scale > 0.0
         with pytest.raises(TypeError):

@@ -157,7 +157,7 @@ class TestNewtonDirection:
                 continue
             gn = np.linalg.norm(g)
             shifted = H + gn * np.eye(5)
-            assert np.linalg.norm(g + shifted @ d) <= min(cfg.eta, gn) * gn
+            assert np.linalg.norm(g + shifted @ d) <= 1e-12 * gn
             assert g @ d <= -min(cfg.nu, gn) * (d @ d)
 
     def test_solves_shifted_system_to_roundoff(self):
@@ -260,6 +260,22 @@ class TestRunSsnewton:
         trials = sum(round(np.log(a) / np.log(delta)) + 1 for a in tr.alphas)
         assert trials > len(tr.alphas)
         assert counter[0] == 1 + 1 + 2 * len(tr.grad_norms) + trials
+
+    def test_products_with_A_residual_norm(self):
+        # as for least squares, plus two per Hessian: the residual-norm
+        # Hessian forms A u - b and A^T r again, which the gradient at the
+        # same point has just formed
+        rp, u_star, rng = stationary_instance(0)
+        rp = Problem(A=rp.A, b=rp.b + 0.1 * rng.standard_normal(rp.m),
+                     gamma=rp.gamma, fidelity=Fidelity.RESIDUAL_NORM)
+        counter = [0]
+        object.__setattr__(rp, "A", CountingMatrix.wrap(rp.A, counter))
+        _, tr = run_ssnewton(rp, u_star)
+        delta = NewtonConfig().delta
+        trials = sum(round(np.log(a) / np.log(delta)) + 1 for a in tr.alphas)
+        assert tr.stop_reason == "grad_tol" and len(tr.kinds) > 1
+        assert counter[0] == (1 + 1 + 2 * len(tr.grad_norms) + trials
+                              + 2 * len(tr.kinds))
 
     def test_objective_trace_decreasing(self):
         rp, u_star, rng = stationary_instance(2)
