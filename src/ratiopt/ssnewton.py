@@ -87,13 +87,10 @@ class DirectionKind(Enum):
 
 def direction_from_hessian(H: np.ndarray, grad: np.ndarray,
                            cfg: NewtonConfig):
-    """Cholesky solution of (H + ||g|| I) d = -g, kept when it descends by
-    g.d <= -min(nu, ||g||) ||d||^2; otherwise, or when the shifted matrix is
-    not positive definite, the scaled gradient -g/b_scale.
-
-    The solve is exact to roundoff; the direction is an inexact Newton step
-    only in that the shift, which vanishes with the gradient, leaves the
-    residual ||g + H d|| = ||g|| ||d|| in the unshifted equation."""
+    """Cholesky solution of (H + ||g|| I) d = -g, kept when g.d <=
+    -min(nu, ||g||) ||d||^2; otherwise, or when the shifted matrix is not
+    positive definite, the scaled gradient -g/b_scale.  The shift makes d
+    an inexact Newton step: ||g + H d|| = ||g|| ||d||."""
     gn = float(np.linalg.norm(grad))
     shifted = H + gn * np.eye(grad.shape[0])
     try:
@@ -117,14 +114,12 @@ def backtrack(phi, u, base, d, grad, cfg: NewtonConfig, guard=None,
     slope = float(np.asarray(grad) @ np.asarray(d))
     if not slope < 0.0:
         raise ValueError("search direction is not a descent direction")
-    # Below phi's rounding the Armijo test reads noise: two evaluations at
-    # points closer than that rounding differ by up to 1.8 eps|phi| on the
-    # Newton tests' instances and the bundled diabetes data, so 4 eps|base|
-    # covers it twice over.  When the predicted decrease is that small, a
-    # trial within it of base is taken and phi may rise by rounding.  Adding
-    # the bound to the ordinary test instead would take no-progress trials
-    # once alpha*|slope| fell below it, and a search that should stall would
-    # run on to the cap.
+    # Below phi's rounding the Armijo test reads noise.  Two evaluations of
+    # phi closer than that differ by up to 1.8 eps|phi| on the Newton tests'
+    # instances and the bundled diabetes data; 4 eps|base| covers that twice.
+    # A trial within it of base is then taken, so phi may rise by rounding.
+    # Added to the ordinary test, the bound would take no-progress trials
+    # once alpha*|slope| fell below it, turning stalls into runs to the cap.
     noise = 4.0 * np.finfo(float).eps * abs(base)
     below_noise = -slope <= noise
     alpha = 1.0
